@@ -4,7 +4,6 @@ multiple-instance ranking over pre-extracted segment features."""
 from .data import (
     Bag,
     DatasetIndex,
-    SegmentFeatures,
     SyntheticSpec,
     VideoRecord,
     gen_synthetic,
@@ -29,14 +28,12 @@ from .model import (
     BagForward,
     ModelConfig,
     ModelParams,
+    StackedForward,
     bag_feature,
-    classify_bag,
     forward_bag,
-    fuse,
+    forward_stacked,
     init_params,
-    initial_score,
     normalize_scores,
-    project_vision,
     score_video,
 )
 from .train import (

@@ -18,7 +18,7 @@ from . import data as datamod
 from . import metrics
 from .errors import ConfigError, MilrankError
 from .gradcheck import run_gradient_check
-from .model import Ablation, ModelConfig
+from .model import ModelConfig
 from .train import TrainingConfig, load_checkpoint, train_event
 
 EXIT_OK = 0
@@ -123,7 +123,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-bcm", dest="no_bcm", action="store_const", const=True)
     p.add_argument("--pairs-per-step", dest="pairs_per_step", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def cmd_train(args) -> int:

@@ -12,7 +12,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -20,14 +20,6 @@ from .errors import DataError, FormatError
 
 MNF1_MAGIC = b"MNF1"
 DEFAULT_DIMS = (512, 128)
-
-
-@dataclass(frozen=True)
-class SegmentFeatures:
-    """One 1-second segment: pre-extracted vision and audio embeddings."""
-
-    vision: np.ndarray
-    audio: np.ndarray
 
 
 @dataclass
@@ -43,9 +35,6 @@ class VideoRecord:
     def n_segments(self) -> int:
         return self.vision.shape[0]
 
-    def segment(self, i: int) -> SegmentFeatures:
-        return SegmentFeatures(self.vision[i], self.audio[i])
-
 
 @dataclass
 class Bag:
@@ -60,10 +49,6 @@ class Bag:
     @property
     def size(self) -> int:
         return self.vision.shape[0]
-
-    @property
-    def instances(self) -> List[SegmentFeatures]:
-        return [SegmentFeatures(self.vision[i], self.audio[i]) for i in range(self.size)]
 
 
 @dataclass(frozen=True)
@@ -192,6 +177,8 @@ def read_manifest(path) -> DatasetIndex:
             duration = float(duration_s)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: bad duration {duration_s!r}") from None
+        if not math.isfinite(duration):
+            raise FormatError(f"{path}:{lineno}: non-finite duration {duration_s!r}")
         if duration < 0:
             raise FormatError(f"{path}:{lineno}: negative duration")
         fpath = base / feature_path

@@ -1,17 +1,21 @@
 """Toy-scale comparison of the analytic backward pass against the
 finite-difference oracle, across loss variants and ablation switches.
+
+Both sides differentiate the training forward itself: the analytic gradient
+is ``losses.backward`` over ``model.forward_stacked``, and the oracle probes
+``losses.total_loss`` over the same ``forward_stacked``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .data import Bag
-from .losses import VARIANTS, _variant_ops, backward, bce, total_loss
-from .model import Ablation, ModelConfig, ModelParams, forward_bag, init_params
+from .losses import VARIANTS, backward, total_loss
+from .model import Ablation, ModelConfig, ModelParams, forward_stacked, init_params
 from .numkit import finite_diff_gradient
 
 TOY_MODEL = ModelConfig(dv=8, da=4, hv=3, hf=3, ds=2, hc=2, k=2)
@@ -52,80 +56,30 @@ def all_cases(variants=VARIANTS) -> List[CheckCase]:
     return cases
 
 
-def _random_bag(rng: np.random.Generator, polarity: str) -> Bag:
+def _random_pair(rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Vision and audio of a positive and a negative toy bag, stacked as
+    (2, N, width)."""
     # moderate feature scale keeps event probabilities away from the BCE
     # clamp, where the log curvature would swamp the difference quotient
     n = TOY_BAG_SIZE
-    return Bag(
-        vision=0.5 * rng.standard_normal((n, TOY_MODEL.dv)),
-        audio=0.5 * rng.standard_normal((n, TOY_MODEL.da)),
-        polarity=polarity,
-        source_video=f"toy-{polarity}",
-        instance_indices=np.arange(n),
-    )
-
-
-def pair_loss(
-    bag_p: Bag, bag_n: Bag, params: ModelParams, case: CheckCase, eps: float
-) -> float:
-    """Total loss of one bag pair, computed in a single stacked forward.
-
-    Semantically identical to ``total_loss`` over two ``forward_bag`` calls
-    (asserted by a test) but with less interpreter overhead, which matters
-    because the finite-difference oracle evaluates it hundreds of times per
-    parameter sweep.
-    """
-    t = params.tensors
-    cfg = params.config
-    n = bag_p.vision.shape[0]
-    v = np.concatenate([bag_p.vision, bag_n.vision])
-    a = np.concatenate([bag_p.audio, bag_n.audio])
-    if case.ablation.no_vision:
-        base = a
-        cat = np.concatenate([a, a], axis=1)
-    else:
-        h = np.maximum(v @ t["wv1"].T + t["bv1"], 0.0)
-        base = h @ t["wv2"].T + t["bv2"]
-        second = base if case.ablation.no_audio else a
-        cat = np.concatenate([base, second], axis=1)
-    outs = []
-    for j in range(cfg.k):
-        z1 = np.maximum(cat @ t[f"f{j}_w1"].T + t[f"f{j}_b1"], 0.0)
-        z2 = np.maximum(z1 @ t[f"f{j}_w2"].T + t[f"f{j}_b2"], 0.0)
-        outs.append(z2 @ t[f"f{j}_w3"].T + t[f"f{j}_b3"])
-    fused = base + np.concatenate(outs, axis=1)
-    sh = np.maximum(fused @ t["ws"].T + t["bs"], 0.0)
-    raw = (sh @ t["wh"].T + t["bh"]).ravel()
-
-    loss = 0.0
-    norms = []
-    for sl in (slice(0, n), slice(n, 2 * n)):
-        e = np.exp(raw[sl] - raw[sl].max())
-        norms.append(e / e.sum())
-    if not case.ablate_mm:
-        pos_max, neg_max = _variant_ops(case.variant)
-        sp = norms[0].max() if pos_max else norms[0].min()
-        sn = norms[1].max() if neg_max else norms[1].min()
-        loss += max(0.0, eps - sp + sn)
-    if not case.ablate_bcm:
-        fb = np.stack([norms[0] @ fused[:n], norms[1] @ fused[n:]])
-        ch = np.maximum(fb @ t["wc1"].T + t["bc1"], 0.0)
-        logits = ch @ t["wc2"].T + t["bc2"]
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs = shifted[:, 1] / shifted.sum(axis=1)
-        loss += bce(probs[0], 1) + bce(probs[1], 0)
-    return loss
+    vision, audio = [], []
+    for _ in range(2):
+        vision.append(0.5 * rng.standard_normal((n, TOY_MODEL.dv)))
+        audio.append(0.5 * rng.standard_normal((n, TOY_MODEL.da)))
+    return np.stack(vision), np.stack(audio)
 
 
 def relative_errors(
     analytic: Dict[str, np.ndarray], numeric: Dict[str, np.ndarray]
 ) -> Dict[str, float]:
-    """Per-tensor max of |a - f| / max(1, |a|, |f|)."""
+    """Per-tensor max of |a - f| / max(1, |a|, |f|); infinite where the
+    analytic gradient is not finite, so that it can never pass a tolerance."""
     out = {}
     for name, a in analytic.items():
         f = numeric[name]
         denom = np.maximum(1.0, np.maximum(np.abs(a), np.abs(f)))
-        out[name] = float(np.max(np.abs(a - f) / denom))
+        err = float(np.max(np.abs(a - f) / denom))
+        out[name] = err if math.isfinite(err) else math.inf
     return out
 
 
@@ -143,17 +97,18 @@ def check_case(
     for tensor in params.tensors.values():
         if tensor.ndim == 1:
             tensor += rng.uniform(-0.3, 0.3, size=tensor.shape)
-    bag_p = _random_bag(rng, "positive")
-    bag_n = _random_bag(rng, "negative")
+    vision, audio = _random_pair(rng)
+    head = not case.ablate_bcm
 
-    fwd_p = forward_bag(bag_p, params, case.ablation)
-    fwd_n = forward_bag(bag_n, params, case.ablation)
+    def forward(p: ModelParams):
+        return forward_stacked(vision, audio, p, case.ablation, head)
+
     analytic = backward(
-        fwd_p, fwd_n, params, eps, case.variant, case.ablate_mm, case.ablate_bcm
+        forward(params), params, eps, case.variant, case.ablate_mm, case.ablate_bcm
     )
 
     def loss_fn(p: ModelParams) -> float:
-        return pair_loss(bag_p, bag_n, p, case, eps)
+        return total_loss(forward(p), eps, case.variant, case.ablate_mm, case.ablate_bcm).total
 
     numeric = finite_diff_gradient(loss_fn, params, h=h)
     errs = relative_errors(analytic, numeric)

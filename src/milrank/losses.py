@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
-from .model import Ablation, BagForward, ModelParams, zero_like_params
+from .errors import ConfigError, DataError, ShapeError
+from .model import ModelParams, StackedForward
 from .numkit import GradientSet
 
 BCE_CLAMP = 1e-7
@@ -30,23 +30,35 @@ class LossBreakdown:
         return self.mm + self.bce_pos + self.bce_neg
 
 
-def _stat(scores: np.ndarray, use_max: bool):
-    """Selected statistic and its index; ties go to the lowest index."""
-    idx = int(np.argmax(scores) if use_max else np.argmin(scores))
-    return float(scores[idx]), idx
+# variant -> (positive statistic is the max, negative statistic is the max)
+_VARIANT_OPS = {
+    "max-max": (True, True),
+    "min-min": (False, False),
+    "min-max": (False, True),
+    "max-min": (True, False),
+}
 
 
 def _variant_ops(variant: str):
     try:
-        pos_max, neg_max = {
-            "max-max": (True, True),
-            "min-min": (False, False),
-            "min-max": (False, True),
-            "max-min": (True, False),
-        }[variant]
+        return _VARIANT_OPS[variant]
     except KeyError:
         raise ConfigError(f"unknown ranking loss variant {variant!r}") from None
-    return pos_max, neg_max
+
+
+def _select(scores: np.ndarray, use_max: bool) -> np.ndarray:
+    """Index of the selected statistic in each row; ties go to the lowest
+    index."""
+    return scores.argmax(axis=1) if use_max else scores.argmin(axis=1)
+
+
+def _hinges(pos: np.ndarray, neg: np.ndarray, eps: float, variant: str) -> np.ndarray:
+    """Per-pair hinge of the ranking loss over rows of positive (P, Np) and
+    negative (P, Nn) scores."""
+    pos_max, neg_max = _variant_ops(variant)
+    sp = pos.max(axis=1) if pos_max else pos.min(axis=1)
+    sn = neg.max(axis=1) if neg_max else neg.min(axis=1)
+    return np.maximum(0.0, eps - sp + sn)
 
 
 def _ranking_loss(ep, en, eps: float, variant: str) -> float:
@@ -54,10 +66,7 @@ def _ranking_loss(ep, en, eps: float, variant: str) -> float:
     en = np.asarray(en, dtype=np.float64)
     if ep.size == 0 or en.size == 0:
         raise DataError("ranking loss needs nonempty score sequences")
-    pos_max, neg_max = _variant_ops(variant)
-    sp, _ = _stat(ep, pos_max)
-    sn, _ = _stat(en, neg_max)
-    return max(0.0, eps - sp + sn)
+    return float(_hinges(ep[None], en[None], eps, variant)[0])
 
 
 def mm_ranking_loss(ep, en, eps: float) -> float:
@@ -79,97 +88,39 @@ def bce(y: float, label: int) -> float:
     raise ConfigError(f"binary label must be 0 or 1, got {label!r}")
 
 
+def _pairs(fwd: StackedForward) -> int:
+    n_bags = fwd.norm_scores.shape[0]
+    if n_bags % 2:
+        raise ShapeError(f"{n_bags} stacked bags do not form positive/negative pairs")
+    return n_bags // 2
+
+
 def total_loss(
-    fwd_p: BagForward,
-    fwd_n: BagForward,
+    fwd: StackedForward,
     eps: float,
     variant: str = "max-max",
     ablate_mm: bool = False,
     ablate_bcm: bool = False,
 ) -> LossBreakdown:
+    """Mean loss over the P pairs of a stacked forward over 2P bags: bags
+    0..P-1 are the positives, bag P+i is the negative paired with bag i."""
     if ablate_mm and ablate_bcm:
         raise ConfigError("ablating both the ranking and classification terms leaves no objective")
-    mm = 0.0 if ablate_mm else _ranking_loss(fwd_p.norm_scores, fwd_n.norm_scores, eps, variant)
-    if ablate_bcm:
-        bp = bn = 0.0
-    else:
-        bp = bce(fwd_p.event_prob, 1)
-        bn = bce(fwd_n.event_prob, 0)
+    n_pairs = _pairs(fwd)
+    norm = fwd.norm_scores
+    mm = 0.0
+    if not ablate_mm:
+        mm = float(_hinges(norm[:n_pairs], norm[n_pairs:], eps, variant).sum()) / n_pairs
+    bp = bn = 0.0
+    if not ablate_bcm:
+        probs = fwd.event_prob.tolist()
+        bp = sum(bce(y, 1) for y in probs[:n_pairs]) / n_pairs
+        bn = sum(bce(y, 0) for y in probs[n_pairs:]) / n_pairs
     return LossBreakdown(mm=mm, bce_pos=bp, bce_neg=bn)
 
 
 # ---------------------------------------------------------------------------
 # Backward
-
-
-def _backward_bag(
-    fwd: BagForward, params: ModelParams, d_norm: np.ndarray, d_prob: float, grads: GradientSet
-) -> None:
-    """Accumulate gradients for one bag given dL/d(norm_scores) and
-    dL/d(event_prob)."""
-    t = params.tensors
-    cfg = params.config
-    abl = fwd.ablation
-
-    # classifier head: event_prob = softmax(logits)[1]
-    p = fwd.cls_probs
-    d_logits = d_prob * p[1] * (np.array([0.0, 1.0]) - p)
-    grads["wc2"] += np.outer(d_logits, fwd.cls_hidden)
-    grads["bc2"] += d_logits
-    d_ch = t["wc2"].T @ d_logits
-    d_ch *= fwd.cls_hidden > 0
-    grads["wc1"] += np.outer(d_ch, fwd.bag_feature)
-    grads["bc1"] += d_ch
-    d_fb = t["wc1"].T @ d_ch
-
-    # bag feature: fB = sum_i E_i f_i
-    d_norm = d_norm + fwd.fused @ d_fb
-    d_fused = fwd.norm_scores[:, None] * d_fb[None, :]
-
-    # softmax over raw scores (full Jacobian)
-    e = fwd.norm_scores
-    d_raw = e * (d_norm - float(d_norm @ e))
-
-    # scorer: raw = wh relu(ws f + bs) + bh
-    grads["wh"] += (d_raw @ fwd.score_hidden)[None, :]
-    grads["bh"] += d_raw.sum()
-    d_sh = np.outer(d_raw, t["wh"].ravel())
-    d_sh *= fwd.score_hidden > 0
-    grads["ws"] += d_sh.T @ fwd.fused
-    grads["bs"] += d_sh.sum(axis=0)
-    d_fused = d_fused + d_sh @ t["ws"]
-
-    # fusion: fused = base + concat_j branch_j(cat)
-    d_base = d_fused.copy()
-    d_cat = np.zeros_like(fwd.cat)
-    width = cfg.fused_dim // cfg.k
-    for j in range(cfg.k):
-        d_z3 = d_fused[:, j * width : (j + 1) * width]
-        z1, z2 = fwd.branch_z1[j], fwd.branch_z2[j]
-        grads[f"f{j}_w3"] += d_z3.T @ z2
-        grads[f"f{j}_b3"] += d_z3.sum(axis=0)
-        d_z2 = d_z3 @ t[f"f{j}_w3"]
-        d_z2 *= z2 > 0
-        grads[f"f{j}_w2"] += d_z2.T @ z1
-        grads[f"f{j}_b2"] += d_z2.sum(axis=0)
-        d_z1 = d_z2 @ t[f"f{j}_w2"]
-        d_z1 *= z1 > 0
-        grads[f"f{j}_w1"] += d_z1.T @ fwd.cat
-        grads[f"f{j}_b1"] += d_z1.sum(axis=0)
-        d_cat += d_z1 @ t[f"f{j}_w1"]
-
-    da = cfg.da
-    if abl.no_vision:
-        return  # base and both cat halves are the raw audio input
-    d_proj = d_base + d_cat[:, :da]
-    if abl.no_audio:
-        d_proj = d_proj + d_cat[:, da:]
-    grads["wv2"] += d_proj.T @ fwd.proj_hidden
-    grads["bv2"] += d_proj.sum(axis=0)
-    d_h = d_proj @ t["wv2"]
-    d_h *= fwd.proj_hidden > 0
-    grads["wv1"] += d_h.T @ fwd.vision
-    grads["bv1"] += d_h.sum(axis=0)
 
 
 def _bce_grad(y: float, label: int) -> float:
@@ -180,46 +131,105 @@ def _bce_grad(y: float, label: int) -> float:
 
 
 def backward(
-    fwd_p: BagForward,
-    fwd_n: BagForward,
+    fwd: StackedForward,
     params: ModelParams,
     eps: float,
     variant: str = "max-max",
     ablate_mm: bool = False,
     ablate_bcm: bool = False,
 ) -> GradientSet:
-    """Exact gradient of ``total_loss`` with respect to every parameter.
+    """Exact gradient of ``total_loss`` with respect to every parameter, in
+    one reverse pass over the stacked forward.
 
     The hinge uses subgradient 0 at the kink; the max/min selections route
     gradient only through the selected instance, while the in-bag softmax
     Jacobian spreads it over every raw score.
     """
-    for fwd, side in ((fwd_p, "positive"), (fwd_n, "negative")):
-        if fwd.params_version != params.version:
-            raise ConfigError(f"{side} forward cache is stale (params changed since forward)")
+    if fwd.params_version != params.version:
+        raise ConfigError("forward cache is stale (params changed since forward)")
     if ablate_mm and ablate_bcm:
         raise ConfigError("ablating both the ranking and classification terms leaves no objective")
+    t = params.tensors
+    cfg = params.config
+    n_pairs = _pairs(fwd)
+    e = fwd.norm_scores  # (B, N)
+    n_bags, n = e.shape
+    fused = fwd.fused.reshape(n_bags * n, cfg.fused_dim)
+    grads: GradientSet = {}
 
-    grads = zero_like_params(params)
-
-    d_norm_p = np.zeros_like(fwd_p.norm_scores)
-    d_norm_n = np.zeros_like(fwd_n.norm_scores)
+    d_norm = np.zeros_like(e)
     if not ablate_mm:
+        pos, neg = e[:n_pairs], e[n_pairs:]
+        active = np.flatnonzero(_hinges(pos, neg, eps, variant) > 0.0)
         pos_max, neg_max = _variant_ops(variant)
-        sp, ip = _stat(fwd_p.norm_scores, pos_max)
-        sn, iq = _stat(fwd_n.norm_scores, neg_max)
-        if eps - sp + sn > 0.0:
-            d_norm_p[ip] = -1.0
-            d_norm_n[iq] = 1.0
+        d_norm[active, _select(pos, pos_max)[active]] = -1.0 / n_pairs
+        d_norm[n_pairs + active, _select(neg, neg_max)[active]] = 1.0 / n_pairs
 
-    d_prob_p = d_prob_n = 0.0
-    if not ablate_bcm:
-        d_prob_p = _bce_grad(fwd_p.event_prob, 1)
-        d_prob_n = _bce_grad(fwd_n.event_prob, 0)
+    # classifier head: event_prob = softmax(logits)[:, 1]
+    if ablate_bcm:
+        for name in ("wc2", "bc2", "wc1", "bc1"):
+            grads[name] = np.zeros_like(t[name])
+        d_fused = np.zeros_like(fused)
+    else:
+        p = fwd.cls_probs
+        d_prob = np.array(
+            [_bce_grad(y, 1) for y in p[:n_pairs, 1]] + [_bce_grad(y, 0) for y in p[n_pairs:, 1]]
+        ) / n_pairs
+        d_logits = (d_prob * p[:, 1])[:, None] * (np.array([0.0, 1.0]) - p)
+        grads["wc2"] = d_logits.T @ fwd.cls_hidden
+        grads["bc2"] = d_logits.sum(axis=0)
+        d_ch = d_logits @ t["wc2"]
+        d_ch *= fwd.cls_hidden > 0
+        grads["wc1"] = d_ch.T @ fwd.bag_feature
+        grads["bc1"] = d_ch.sum(axis=0)
+        d_fb = d_ch @ t["wc1"]  # (B, fused_dim)
+        # bag feature: fB = sum_i E_i f_i
+        d_norm += np.matmul(fwd.fused, d_fb[:, :, None])[:, :, 0]
+        d_fused = (e[:, :, None] * d_fb[:, None, :]).reshape(fused.shape)
 
-    _backward_bag(fwd_p, params, d_norm_p, d_prob_p, grads)
-    _backward_bag(fwd_n, params, d_norm_n, d_prob_n, grads)
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
+    # in-bag softmax over raw scores (full Jacobian)
+    d_raw = (e * (d_norm - (d_norm * e).sum(axis=1, keepdims=True))).reshape(-1)
+
+    # scorer: raw = wh relu(ws f + bs) + bh
+    grads["wh"] = (d_raw @ fwd.score_hidden)[None, :]
+    grads["bh"] = np.array([d_raw.sum()])
+    d_sh = np.outer(d_raw, t["wh"].ravel())
+    d_sh *= fwd.score_hidden > 0
+    grads["ws"] = d_sh.T @ fused
+    grads["bs"] = d_sh.sum(axis=0)
+    d_fused += d_sh @ t["ws"]
+
+    # fusion: fused = base + concat_j branch_j(cat)
+    d_cat = np.zeros_like(fwd.cat)
+    width = cfg.fused_dim // cfg.k
+    for j in range(cfg.k):
+        d_z3 = d_fused[:, j * width : (j + 1) * width]
+        z1, z2 = fwd.branch_z1[j], fwd.branch_z2[j]
+        grads[f"f{j}_w3"] = d_z3.T @ z2
+        grads[f"f{j}_b3"] = d_z3.sum(axis=0)
+        d_z2 = d_z3 @ t[f"f{j}_w3"]
+        d_z2 *= z2 > 0
+        grads[f"f{j}_w2"] = d_z2.T @ z1
+        grads[f"f{j}_b2"] = d_z2.sum(axis=0)
+        d_z1 = d_z2 @ t[f"f{j}_w2"]
+        d_z1 *= z1 > 0
+        grads[f"f{j}_w1"] = d_z1.T @ fwd.cat
+        grads[f"f{j}_b1"] = d_z1.sum(axis=0)
+        d_cat += d_z1 @ t[f"f{j}_w1"]
+
+    if fwd.ablation.no_vision:
+        # base and both cat halves are the raw audio input
+        for name in ("wv2", "bv2", "wv1", "bv1"):
+            grads[name] = np.zeros_like(t[name])
+        return grads
+    da = cfg.da
+    d_proj = d_fused + d_cat[:, :da]  # the residual base is the projection
+    if fwd.ablation.no_audio:
+        d_proj += d_cat[:, da:]
+    grads["wv2"] = d_proj.T @ fwd.proj_hidden
+    grads["bv2"] = d_proj.sum(axis=0)
+    d_h = d_proj @ t["wv2"]
+    d_h *= fwd.proj_hidden > 0
+    grads["wv1"] = d_h.T @ fwd.vision
+    grads["bv1"] = d_h.sum(axis=0)
     return grads

@@ -10,7 +10,7 @@ transformed as X @ W.T + b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -125,69 +125,42 @@ def zero_like_params(params: ModelParams) -> Dict[str, np.ndarray]:
 
 
 @dataclass
+class StackedForward:
+    """Every intermediate of one forward pass over B bags of N instances,
+    cached for the backward.
+
+    Outputs carry a leading bag axis.  The per-instance caches are flat, with
+    bag ``b`` in rows ``b*N`` to ``(b+1)*N``.  The classifier head fields are
+    None when the forward ran without it.
+    """
+
+    fused: np.ndarray  # (B, N, fused_dim)
+    raw_scores: np.ndarray  # (B, N)
+    norm_scores: np.ndarray  # (B, N), in-bag softmax of raw_scores
+    bag_feature: Optional[np.ndarray]  # (B, fused_dim)
+    event_prob: Optional[np.ndarray]  # (B,)
+    # caches
+    vision: np.ndarray  # (B*N, dv)
+    proj_hidden: Optional[np.ndarray]  # relu output of the first projection layer
+    cat: np.ndarray  # branch input (B*N, 2*da)
+    branch_z1: List[np.ndarray]
+    branch_z2: List[np.ndarray]
+    score_hidden: np.ndarray  # relu(ws f + bs), (B*N, ds)
+    cls_hidden: Optional[np.ndarray]  # relu(wc1 fB + bc1), (B, hc)
+    cls_probs: Optional[np.ndarray]  # softmax of the two logits, (B, 2)
+    ablation: Ablation
+    params_version: int
+
+
+@dataclass
 class BagForward:
-    """Every intermediate of a bag forward pass, cached for the backward."""
+    """The outputs of a single bag."""
 
     fused: np.ndarray  # (N, fused_dim)
     raw_scores: np.ndarray  # (N,)
     norm_scores: np.ndarray  # (N,)
     bag_feature: np.ndarray  # (fused_dim,)
     event_prob: float
-    # caches
-    vision: np.ndarray
-    audio: np.ndarray
-    proj_hidden: Optional[np.ndarray]  # relu output of the first projection layer
-    projected: Optional[np.ndarray]  # projected vision feature (N, da)
-    base: np.ndarray  # residual base (projected vision, or audio when no_vision)
-    cat: np.ndarray  # branch input (N, 2*da)
-    branch_z1: List[np.ndarray] = field(default_factory=list)
-    branch_z2: List[np.ndarray] = field(default_factory=list)
-    score_hidden: np.ndarray = None  # relu(ws f + bs), (N, ds)
-    cls_hidden: np.ndarray = None  # relu(wc1 fB + bc1), (hc,)
-    cls_probs: np.ndarray = None  # softmax of the two logits
-    ablation: Ablation = Ablation()
-    params_version: int = -1
-
-
-def _project_vision_batch(v: np.ndarray, t: Dict[str, np.ndarray]):
-    h = relu(v @ t["wv1"].T + t["bv1"])
-    return h, h @ t["wv2"].T + t["bv2"]
-
-
-def project_vision(fv: np.ndarray, params: ModelParams) -> np.ndarray:
-    if fv.shape != (params.config.dv,):
-        raise ShapeError(f"vision feature has shape {fv.shape}, expected ({params.config.dv},)")
-    _, out = _project_vision_batch(fv[None, :].astype(np.float64), params.tensors)
-    return out[0]
-
-
-def _fuse_batch(cat: np.ndarray, base: np.ndarray, t: Dict[str, np.ndarray], k: int):
-    z1s, z2s, outs = [], [], []
-    for j in range(k):
-        z1 = relu(cat @ t[f"f{j}_w1"].T + t[f"f{j}_b1"])
-        z2 = relu(z1 @ t[f"f{j}_w2"].T + t[f"f{j}_b2"])
-        outs.append(z2 @ t[f"f{j}_w3"].T + t[f"f{j}_b3"])
-        z1s.append(z1)
-        z2s.append(z2)
-    fr = np.concatenate(outs, axis=1)
-    return z1s, z2s, base + fr
-
-
-def fuse(fv_hat: np.ndarray, fa: np.ndarray, params: ModelParams) -> np.ndarray:
-    da = params.config.da
-    if fv_hat.shape != (da,) or fa.shape != (da,):
-        raise ShapeError(f"fuse expects two ({da},) vectors, got {fv_hat.shape} and {fa.shape}")
-    cat = np.concatenate([fv_hat, fa])[None, :].astype(np.float64)
-    _, _, out = _fuse_batch(cat, fv_hat[None, :].astype(np.float64), params.tensors, params.config.k)
-    return out[0]
-
-
-def initial_score(f: np.ndarray, params: ModelParams) -> float:
-    if f.shape != (params.config.fused_dim,):
-        raise ShapeError(f"fused feature has shape {f.shape}, expected ({params.config.fused_dim},)")
-    t = params.tensors
-    hidden = relu(t["ws"] @ f + t["bs"])
-    return float((t["wh"] @ hidden + t["bh"])[0])
 
 
 def normalize_scores(raw) -> np.ndarray:
@@ -204,57 +177,70 @@ def bag_feature(norm: np.ndarray, fused: np.ndarray) -> np.ndarray:
     return norm @ fused
 
 
-def classify_bag(fb: np.ndarray, params: ModelParams) -> float:
-    if fb.shape != (params.config.fused_dim,):
-        raise ShapeError(f"bag feature has shape {fb.shape}, expected ({params.config.fused_dim},)")
-    t = params.tensors
-    hidden = relu(t["wc1"] @ fb + t["bc1"])
-    logits = t["wc2"] @ hidden + t["bc2"]
-    return float(stable_softmax(logits)[1])
+def forward_stacked(
+    vision: np.ndarray,
+    audio: np.ndarray,
+    params: ModelParams,
+    ablation: Ablation = Ablation(),
+    head: bool = True,
+) -> StackedForward:
+    """The network over B bags of N instances, stacked as (B, N, width).
 
-
-def forward_bag(bag: Bag, params: ModelParams, ablation: Ablation = Ablation()) -> BagForward:
+    The per-instance layers (vision projection, k-branch fusion, scorer) run
+    once over all B*N rows; the in-bag softmax, score-weighted pooling and bag
+    classifier run per bag.  ``head=False`` skips pooling and the classifier
+    for callers that read no event probability.
+    """
     ablation.validate()
     cfg = params.config
     t = params.tensors
-    v = np.asarray(bag.vision, dtype=np.float64)
-    a = np.asarray(bag.audio, dtype=np.float64)
-    if v.ndim != 2 or v.shape[1] != cfg.dv:
-        raise ShapeError(f"bag vision has shape {v.shape}, expected (N, {cfg.dv})")
-    if a.shape != (v.shape[0], cfg.da):
-        raise ShapeError(f"bag audio has shape {a.shape}, expected ({v.shape[0]}, {cfg.da})")
+    v = np.asarray(vision, dtype=np.float64)
+    a = np.asarray(audio, dtype=np.float64)
+    if v.ndim != 3 or v.shape[2] != cfg.dv:
+        raise ShapeError(f"vision has shape {v.shape}, expected (B, N, {cfg.dv})")
+    if a.shape != v.shape[:2] + (cfg.da,):
+        raise ShapeError(f"audio has shape {a.shape}, expected {v.shape[:2] + (cfg.da,)}")
+    n_bags, n = v.shape[:2]
+    v = v.reshape(n_bags * n, cfg.dv)
+    a = a.reshape(n_bags * n, cfg.da)
 
     if ablation.no_vision:
-        proj_hidden, projected = None, None
+        proj_hidden = None
         base = a
         cat = np.concatenate([a, a], axis=1)
     else:
-        proj_hidden, projected = _project_vision_batch(v, t)
-        base = projected
-        second = projected if ablation.no_audio else a
-        cat = np.concatenate([projected, second], axis=1)
+        proj_hidden = relu(v @ t["wv1"].T + t["bv1"])
+        base = proj_hidden @ t["wv2"].T + t["bv2"]
+        cat = np.concatenate([base, base if ablation.no_audio else a], axis=1)
 
-    z1s, z2s, fused = _fuse_batch(cat, base, t, cfg.k)
+    z1s, z2s, outs = [], [], []
+    for j in range(cfg.k):
+        z1 = relu(cat @ t[f"f{j}_w1"].T + t[f"f{j}_b1"])
+        z2 = relu(z1 @ t[f"f{j}_w2"].T + t[f"f{j}_b2"])
+        outs.append(z2 @ t[f"f{j}_w3"].T + t[f"f{j}_b3"])
+        z1s.append(z1)
+        z2s.append(z2)
+    fused = base + np.concatenate(outs, axis=1)
     score_hidden = relu(fused @ t["ws"].T + t["bs"])
-    raw = (score_hidden @ t["wh"].T + t["bh"]).ravel()
-    norm = stable_softmax(raw)
-    fb = norm @ fused
-    cls_hidden = relu(t["wc1"] @ fb + t["bc1"])
-    logits = t["wc2"] @ cls_hidden + t["bc2"]
-    probs = stable_softmax(logits)
-    require_finite(fused, "fused features")
+    raw = (score_hidden @ t["wh"].T + t["bh"]).reshape(n_bags, n)
     require_finite(raw, "raw scores")
-    return BagForward(
+    norm = stable_softmax(raw)
+    fused = fused.reshape(n_bags, n, cfg.fused_dim)
+
+    fb = cls_hidden = probs = event_prob = None
+    if head:
+        fb = np.matmul(norm[:, None, :], fused)[:, 0, :]
+        cls_hidden = relu(fb @ t["wc1"].T + t["bc1"])
+        probs = stable_softmax(cls_hidden @ t["wc2"].T + t["bc2"])
+        event_prob = probs[:, 1]
+    return StackedForward(
         fused=fused,
         raw_scores=raw,
         norm_scores=norm,
         bag_feature=fb,
-        event_prob=float(probs[1]),
+        event_prob=event_prob,
         vision=v,
-        audio=a,
         proj_hidden=proj_hidden,
-        projected=projected,
-        base=base,
         cat=cat,
         branch_z1=z1s,
         branch_z2=z2s,
@@ -266,6 +252,17 @@ def forward_bag(bag: Bag, params: ModelParams, ablation: Ablation = Ablation()) 
     )
 
 
+def forward_bag(bag: Bag, params: ModelParams, ablation: Ablation = Ablation()) -> BagForward:
+    fwd = forward_stacked(np.asarray(bag.vision)[None], np.asarray(bag.audio)[None], params, ablation)
+    return BagForward(
+        fused=fwd.fused[0],
+        raw_scores=fwd.raw_scores[0],
+        norm_scores=fwd.norm_scores[0],
+        bag_feature=fwd.bag_feature[0],
+        event_prob=float(fwd.event_prob[0]),
+    )
+
+
 def score_video(
     video: VideoRecord, params: ModelParams, ablation: Ablation = Ablation()
 ) -> np.ndarray:
@@ -273,11 +270,5 @@ def score_video(
     so ranking by these matches ranking by any within-video softmax."""
     if video.n_segments == 0:
         raise ShapeError(f"{video.video_id}: empty video")
-    bag = Bag(
-        vision=video.vision,
-        audio=video.audio,
-        polarity="positive",
-        source_video=video.video_id,
-        instance_indices=np.arange(video.n_segments),
-    )
-    return forward_bag(bag, params, ablation).raw_scores
+    fwd = forward_stacked(video.vision[None], video.audio[None], params, ablation, head=False)
+    return fwd.raw_scores[0]

@@ -17,33 +17,22 @@ from .errors import NumericError, ShapeError
 GradientSet = Dict[str, np.ndarray]
 
 
-def linear(w: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w @ x + b for a single vector x.  w is (out, in), b is (out,)."""
-    if w.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise ShapeError(f"linear expects matrix/vector/vector, got {w.shape}, {b.shape}, {x.shape}")
-    if w.shape[1] != x.shape[0]:
-        raise ShapeError(f"weight {w.shape} does not accept input of length {x.shape[0]}")
-    if w.shape[0] != b.shape[0]:
-        raise ShapeError(f"weight {w.shape} does not match bias of length {b.shape[0]}")
-    return w @ x + b
-
-
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
 def stable_softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax with max-subtraction, accumulated in float64."""
-    x = np.asarray(x)
+    """Softmax over the last axis with max-subtraction, accumulated in
+    float64."""
+    x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ShapeError("softmax of an empty vector")
-    shifted = x.astype(np.float64) - np.max(x)
-    e = np.exp(shifted)
-    return e / e.sum()
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericError(f"non-finite values in {what}")
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -14,8 +14,16 @@ import numpy as np
 
 from . import data as datamod
 from .errors import ConfigError, FormatError, NumericError
-from .losses import VARIANTS, LossBreakdown, backward, total_loss
-from .model import Ablation, ModelConfig, ModelParams, forward_bag, init_params, zero_like_params
+from .losses import VARIANTS, backward, total_loss
+from .model import (
+    Ablation,
+    ModelConfig,
+    ModelParams,
+    _layer_shapes,
+    forward_stacked,
+    init_params,
+    zero_like_params,
+)
 from .numkit import GradientSet
 
 MNCK_MAGIC = b"MNCK"
@@ -177,37 +185,28 @@ def train_event(
         sums = np.zeros(3)
         n_steps = 0
         for pi in order:
-            acc = None
-            breakdown_sum = np.zeros(3)
+            bags_p, bags_n = [], []
             for _ in range(config.pairs_per_step):
                 pos = video(positives[pi])
                 neg = video(negatives[neg_rng.integers(len(negatives))])
-                bag_p = datamod.sample_bag(pos, config.bag_size, bag_rng, "positive")
-                bag_n = datamod.sample_bag(neg, config.bag_size, bag_rng, "negative")
-                fwd_p = forward_bag(bag_p, params, ablation)
-                fwd_n = forward_bag(bag_n, params, ablation)
-                lb = total_loss(
-                    fwd_p, fwd_n, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm
-                )
-                if not np.isfinite(lb.total):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, step {state.step}"
-                    )
-                grads = backward(
-                    fwd_p, fwd_n, params, config.eps, config.loss_variant,
-                    config.no_mmrl, config.no_bcm,
-                )
-                if acc is None:
-                    acc = grads
-                else:
-                    for name in acc:
-                        acc[name] += grads[name]
-                breakdown_sum += (lb.mm, lb.bce_pos, lb.bce_neg)
-            if config.pairs_per_step > 1:
-                for name in acc:
-                    acc[name] /= config.pairs_per_step
-            sgd_step(params, acc, state, lr, config)
-            sums += breakdown_sum / config.pairs_per_step
+                bags_p.append(datamod.sample_bag(pos, config.bag_size, bag_rng, "positive"))
+                bags_n.append(datamod.sample_bag(neg, config.bag_size, bag_rng, "negative"))
+            bags = bags_p + bags_n
+            fwd = forward_stacked(
+                np.stack([b.vision for b in bags]),
+                np.stack([b.audio for b in bags]),
+                params,
+                ablation,
+                head=not config.no_bcm,
+            )
+            lb = total_loss(fwd, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm)
+            if not np.isfinite(lb.total):
+                raise NumericError(f"non-finite loss at epoch {epoch}, step {state.step}")
+            grads = backward(
+                fwd, params, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm
+            )
+            sgd_step(params, grads, state, lr, config)
+            sums += (lb.mm, lb.bce_pos, lb.bce_neg)
             n_steps += 1
         state.epoch = epoch + 1
         mean = sums / max(n_steps, 1)
@@ -254,11 +253,6 @@ def _snapshot(params, config, state, bag_rng, neg_rng, shuffle_rng) -> Checkpoin
 # Checkpoint serialization (MNCK container)
 
 
-def _config_to_dict(config: TrainingConfig) -> dict:
-    d = asdict(config)
-    return d
-
-
 def _config_from_dict(d: dict) -> TrainingConfig:
     d = dict(d)
     model = ModelConfig(**d.pop("model"))
@@ -267,7 +261,7 @@ def _config_from_dict(d: dict) -> TrainingConfig:
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     meta = {
-        "config": _config_to_dict(ckpt.config),
+        "config": asdict(ckpt.config),
         "step": ckpt.state.step,
         "epoch": ckpt.state.epoch,
         "params_version": ckpt.params.version,
@@ -311,7 +305,10 @@ def load_checkpoint(path) -> Checkpoint:
     if version != MNCK_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = struct.unpack("<I", take(4))
-    meta = json.loads(take(meta_len).decode("utf-8"))
+    try:
+        meta = json.loads(take(meta_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable checkpoint metadata: {exc}") from None
     (n_tensors,) = struct.unpack("<I", take(4))
     tensors: Dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
@@ -328,25 +325,24 @@ def load_checkpoint(path) -> Checkpoint:
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
 
-    config = _config_from_dict(meta["config"])
+    try:
+        config = _config_from_dict(meta["config"])
+        step, epoch = meta["step"], meta["epoch"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint metadata: {exc!r}") from None
     p_tensors = {k[2:]: v for k, v in tensors.items() if k.startswith("p/")}
     v_tensors = {k[2:]: v for k, v in tensors.items() if k.startswith("v/")}
-    expected = {name for name, _ in _model_shapes(config.model)}
+    expected = {name for name, _ in _layer_shapes(config.model)}
     if set(p_tensors) != expected:
         missing = sorted(expected.symmetric_difference(p_tensors))
         raise FormatError(f"{path}: tensor set mismatch: {missing}")
-    for name, shape in _model_shapes(config.model):
+    for name, shape in _layer_shapes(config.model):
         if p_tensors[name].shape != shape:
             raise FormatError(
                 f"{path}: tensor {name} has shape {p_tensors[name].shape}, expected {shape}"
             )
     params = ModelParams(config.model, p_tensors)
     params.version = meta.get("params_version", 0)
-    state = OptimizerState(velocity=v_tensors, step=meta["step"], epoch=meta["epoch"])
+    state = OptimizerState(velocity=v_tensors, step=step, epoch=epoch)
     return Checkpoint(params=params, config=config, state=state, rng_states=meta.get("rng_states"))
 
-
-def _model_shapes(model_config: ModelConfig):
-    from .model import _layer_shapes
-
-    return _layer_shapes(model_config)

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import milrank
 from milrank.cli import main
 from milrank.data import read_manifest, write_feature_file
 from milrank.train import load_checkpoint
@@ -283,6 +286,18 @@ class TestEvalScore:
         capsys.readouterr()
 
 
+    def test_score_corrupt_checkpoint_metadata(self, dataset, trained, tmp_path, capsys):
+        raw = bytearray((trained / "ev00.mnck").read_bytes())
+        raw[12] = 0xFF  # first byte of the JSON metadata
+        bad = tmp_path / "bad.mnck"
+        bad.write_bytes(bytes(raw))
+        feature = next(iter(sorted((dataset / "features").iterdir())))
+        code = main(["score", "--checkpoint", str(bad), "--features", str(feature)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "bad.mnck" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
 class TestGradcheckCommand:
     def test_single_variant_single_seed(self, capsys):
         code = main(["gradcheck", "--variant", "max-max", "--seeds", "1"])
@@ -304,8 +319,12 @@ class TestGradcheckCommand:
 class TestSubprocessEntry:
     def test_module_invocation_deterministic_bytes(self, tmp_path):
         cmd = [sys.executable, "-m", "milrank.cli"] + SYNTH_ARGS
-        r1 = subprocess.run(cmd + ["--out", str(tmp_path / "a")], capture_output=True, text=True)
-        r2 = subprocess.run(cmd + ["--out", str(tmp_path / "b")], capture_output=True, text=True)
+        # the child imports the package under test, installed or not
+        src = str(Path(milrank.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        r1 = subprocess.run(cmd + ["--out", str(tmp_path / "a")], capture_output=True, text=True, env=env)
+        r2 = subprocess.run(cmd + ["--out", str(tmp_path / "b")], capture_output=True, text=True, env=env)
         assert r1.returncode == 0 and r2.returncode == 0
         assert r1.stdout.replace(str(tmp_path / "a"), "X") == r2.stdout.replace(
             str(tmp_path / "b"), "X"

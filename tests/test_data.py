@@ -153,6 +153,12 @@ class TestManifest:
         with pytest.raises(FormatError, match="duration"):
             read_manifest(mpath)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_duration(self, tmp_path, value):
+        mpath = self.write_dataset(tmp_path, [("a", "surf", 45.0), ("b", "ski", value)])
+        with pytest.raises(FormatError, match=r"manifest.tsv:4: non-finite duration"):
+            read_manifest(mpath)
+
     def test_write_read_round_trip(self, tmp_path):
         mpath = self.write_dataset(tmp_path, [("a", "surf", 45.5), ("b", "ski", 75.25)])
         index = read_manifest(mpath)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TOY, random_bag
-from milrank.errors import ConfigError, DataError
+from conftest import random_bag
+from milrank.data import Bag
+from milrank.errors import ConfigError, DataError, ShapeError
 from milrank.gradcheck import CheckCase, check_case
 from milrank.losses import (
     VARIANTS,
@@ -14,7 +15,7 @@ from milrank.losses import (
     total_loss,
     variant_ranking_loss,
 )
-from milrank.model import Ablation, forward_bag, init_params
+from milrank.model import Ablation, forward_stacked
 
 
 class TestMMRankingLoss:
@@ -95,74 +96,106 @@ class TestBCE:
             bce(0.5, 2)
 
 
+def forward_pairs(params, bags_p, bags_n, ablation=Ablation()):
+    """Stacked forward over positives followed by their paired negatives."""
+    bags = list(bags_p) + list(bags_n)
+    return forward_stacked(
+        np.stack([b.vision for b in bags]), np.stack([b.audio for b in bags]), params, ablation
+    )
+
+
 class TestTotalLoss:
     def forwards(self, rng, params):
-        fp = forward_bag(random_bag(rng), params)
-        fn = forward_bag(random_bag(rng), params)
-        return fp, fn
+        return forward_pairs(params, [random_bag(rng)], [random_bag(rng)])
 
     def test_breakdown_additivity(self, toy_params, rng):
         for _ in range(20):
-            fp, fn = self.forwards(rng, toy_params)
-            lb = total_loss(fp, fn, 1.0)
+            lb = total_loss(self.forwards(rng, toy_params), 1.0)
             assert abs(lb.total - (lb.mm + lb.bce_pos + lb.bce_neg)) < 1e-6
             assert lb.mm >= 0 and lb.bce_pos >= 0 and lb.bce_neg >= 0
 
     def test_hand_combination(self, toy_params, rng):
-        fp, fn = self.forwards(rng, toy_params)
-        fp.norm_scores = np.array([0.8, 0.2])
-        fn.norm_scores = np.array([0.1, 0.9 - 0.8])
-        fp.event_prob = 0.5
-        fn.event_prob = 0.5
-        lb = total_loss(fp, fn, 1.0)
+        fwd = self.forwards(rng, toy_params)
+        fwd.norm_scores = np.array([[0.8, 0.2], [0.1, 0.9 - 0.8]])
+        fwd.event_prob = np.array([0.5, 0.5])
+        lb = total_loss(fwd, 1.0)
         expected = 0.3 + math.log(2) + math.log(2)
         assert abs(lb.total - expected) < 1e-9
 
+    def test_mean_over_pairs(self, toy_params, rng):
+        fwd = forward_pairs(toy_params, [random_bag(rng), random_bag(rng)], [random_bag(rng), random_bag(rng)])
+        fwd.norm_scores = np.array([[0.8, 0.2], [0.5, 0.5], [0.1, 0.1], [0.3, 0.7]])
+        fwd.event_prob = np.array([0.5, 0.25, 0.5, 0.75])
+        lb = total_loss(fwd, 1.0)
+        assert abs(lb.mm - (0.3 + 1.2) / 2) < 1e-12
+        assert abs(lb.bce_pos - (math.log(2) + math.log(4)) / 2) < 1e-12
+        assert abs(lb.bce_neg - (math.log(2) + math.log(4)) / 2) < 1e-12
+
+    def test_unpaired_stack_rejected(self, toy_params, rng):
+        fwd = forward_pairs(toy_params, [random_bag(rng)], [])
+        with pytest.raises(ShapeError):
+            total_loss(fwd, 1.0)
+        with pytest.raises(ShapeError):
+            backward(fwd, toy_params, 1.0)
+
     def test_ablations_drop_terms(self, toy_params, rng):
-        fp, fn = self.forwards(rng, toy_params)
-        no_mm = total_loss(fp, fn, 1.0, ablate_mm=True)
+        fwd = self.forwards(rng, toy_params)
+        no_mm = total_loss(fwd, 1.0, ablate_mm=True)
         assert no_mm.mm == 0.0 and no_mm.bce_pos > 0
-        no_bcm = total_loss(fp, fn, 1.0, ablate_bcm=True)
+        no_bcm = total_loss(fwd, 1.0, ablate_bcm=True)
         assert no_bcm.bce_pos == 0.0 and no_bcm.bce_neg == 0.0 and no_bcm.mm > 0
 
     def test_both_ablations_rejected(self, toy_params, rng):
-        fp, fn = self.forwards(rng, toy_params)
+        fwd = self.forwards(rng, toy_params)
         with pytest.raises(ConfigError):
-            total_loss(fp, fn, 1.0, ablate_mm=True, ablate_bcm=True)
+            total_loss(fwd, 1.0, ablate_mm=True, ablate_bcm=True)
 
 
 class TestBackward:
     def test_saturated_hinge_no_bcm_zero_gradient(self, toy_params, rng):
         # eps = 0 saturates the hinge for whichever bag scores higher
-        fa = forward_bag(random_bag(rng), toy_params)
-        fb = forward_bag(random_bag(rng), toy_params)
-        fp, fn = (fa, fb) if fa.norm_scores.max() > fb.norm_scores.max() else (fb, fa)
-        grads = backward(fp, fn, toy_params, eps=0.0, ablate_bcm=True)
+        a, b = random_bag(rng), random_bag(rng)
+        fa = forward_pairs(toy_params, [a], [b])
+        if fa.norm_scores[0].max() < fa.norm_scores[1].max():
+            a, b = b, a
+        grads = backward(forward_pairs(toy_params, [a], [b]), toy_params, eps=0.0, ablate_bcm=True)
+        assert grads.keys() == toy_params.tensors.keys()
         for name, g in grads.items():
+            assert g.shape == toy_params.tensors[name].shape, name
             assert np.all(g == 0.0), name
 
     def test_stale_cache_rejected(self, toy_params, rng):
-        fp = forward_bag(random_bag(rng), toy_params)
-        fn = forward_bag(random_bag(rng), toy_params)
+        fwd = forward_pairs(toy_params, [random_bag(rng)], [random_bag(rng)])
         toy_params.bump_version()
         with pytest.raises(ConfigError, match="stale"):
-            backward(fp, fn, toy_params, 1.0)
+            backward(fwd, toy_params, 1.0)
 
     def test_permutation_invariant_gradients(self, toy_params, rng):
         bag_p = random_bag(rng, n=6)
         bag_n = random_bag(rng, n=6)
-        g1 = backward(
-            forward_bag(bag_p, toy_params), forward_bag(bag_n, toy_params), toy_params, 1.0
-        )
+        g1 = backward(forward_pairs(toy_params, [bag_p], [bag_n]), toy_params, 1.0)
         perm = rng.permutation(6)
-        from milrank.data import Bag
-
         bag_p2 = Bag(bag_p.vision[perm], bag_p.audio[perm], "positive", "rand", perm)
-        g2 = backward(
-            forward_bag(bag_p2, toy_params), forward_bag(bag_n, toy_params), toy_params, 1.0
-        )
+        g2 = backward(forward_pairs(toy_params, [bag_p2], [bag_n]), toy_params, 1.0)
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-6), name
+
+    @pytest.mark.parametrize("ablation", [Ablation(), Ablation(no_audio=True), Ablation(no_vision=True)])
+    @pytest.mark.parametrize("ablate_mm,ablate_bcm", [(False, False), (True, False), (False, True)])
+    def test_two_pairs_is_mean_of_single_pairs(self, toy_params, rng, ablation, ablate_mm, ablate_bcm):
+        bags_p = [random_bag(rng) for _ in range(2)]
+        bags_n = [random_bag(rng) for _ in range(2)]
+
+        def grads(ps, ns):
+            fwd = forward_pairs(toy_params, ps, ns, ablation)
+            return backward(fwd, toy_params, 1.0, "max-max", ablate_mm, ablate_bcm)
+
+        both = grads(bags_p, bags_n)
+        singles = [grads([p], [n]) for p, n in zip(bags_p, bags_n)]
+        for name, g in both.items():
+            mean = (singles[0][name] + singles[1][name]) / 2
+            scale = max(1.0, float(np.max(np.abs(mean))))
+            assert np.max(np.abs(g - mean)) <= 1e-12 * scale, name
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_finite_differences(self, variant):

@@ -7,17 +7,12 @@ from milrank.errors import ConfigError, ShapeError
 from milrank.model import (
     Ablation,
     ModelConfig,
-    ModelParams,
     bag_feature,
-    classify_bag,
     forward_bag,
-    fuse,
+    forward_stacked,
     init_params,
-    initial_score,
     normalize_scores,
-    project_vision,
     score_video,
-    zero_like_params,
 )
 
 
@@ -55,78 +50,103 @@ class TestInit:
         assert np.all(np.abs(w) <= limit)
 
 
+def stacked(params, vision, audio, ablation=Ablation()):
+    """Forward over one bag given as plain (N, width) arrays."""
+    return forward_stacked(np.asarray(vision)[None], np.asarray(audio)[None], params, ablation)
+
+
+def zero_branches(params):
+    out = params.copy()
+    for name in out.tensors:
+        if name.startswith("f"):
+            out.tensors[name][:] = 0.0
+    return out
+
+
 class TestProjection:
     def test_zero_params_zero_output(self, toy_params):
-        params = zeroed(toy_params)
-        out = project_vision(np.ones(TOY.dv), params)
-        assert np.array_equal(out, np.zeros(TOY.da))
+        fwd = stacked(zeroed(toy_params), np.ones((3, TOY.dv)), np.ones((3, TOY.da)))
+        assert np.array_equal(fwd.fused, np.zeros((1, 3, TOY.da)))
 
     def test_output_width_is_fused_width(self):
         params = init_params(ModelConfig(), 2)
-        out = project_vision(np.random.default_rng(0).standard_normal(512), params)
-        assert out.shape == (128,)
+        rng = np.random.default_rng(0)
+        fwd = forward_stacked(rng.standard_normal((2, 3, 512)), rng.standard_normal((2, 3, 128)), params)
+        assert fwd.fused.shape == (2, 3, 128)
 
     def test_hand_relu_chain(self):
+        # with zero fusion branches the fused feature is the projected vision
         cfg = ModelConfig(dv=2, da=2, hv=2, hf=2, ds=2, hc=2, k=1)
-        params = init_params(cfg, 0)
+        params = zero_branches(init_params(cfg, 0))
         params.tensors["wv1"] = np.eye(2)
         params.tensors["wv2"] = np.eye(2)
-        out = project_vision(np.array([1.0, -2.0]), params)
-        assert np.array_equal(out, [1.0, 0.0])
+        fwd = stacked(params, [[1.0, -2.0]], np.zeros((1, 2)))
+        assert np.array_equal(fwd.fused[0, 0], [1.0, 0.0])
 
     def test_shape_mismatch(self, toy_params):
         with pytest.raises(ShapeError):
-            project_vision(np.zeros(TOY.dv + 1), toy_params)
+            stacked(toy_params, np.zeros((2, TOY.dv + 1)), np.zeros((2, TOY.da)))
+        with pytest.raises(ShapeError):
+            stacked(toy_params, np.zeros((2, TOY.dv)), np.zeros((3, TOY.da)))
+        with pytest.raises(ShapeError):
+            forward_stacked(np.zeros((2, TOY.dv)), np.zeros((2, TOY.da)), toy_params)
 
 
 class TestFuse:
-    def test_zero_branches_residual_identity(self, toy_params):
-        params = toy_params.copy()
-        for name in params.tensors:
-            if name.startswith("f"):
-                params.tensors[name][:] = 0.0
-        fv = np.random.default_rng(0).standard_normal(TOY.da)
-        fa = np.random.default_rng(1).standard_normal(TOY.da)
-        assert np.array_equal(fuse(fv, fa, params), fv)
-
-    def test_zero_vision_gives_pure_relation(self, toy_params):
-        fa = np.random.default_rng(2).standard_normal(TOY.da)
-        fv = np.zeros(TOY.da)
-        out = fuse(fv, fa, toy_params)
-        # with a zero residual base the output is the branch concatenation
-        params = toy_params
-        cat = np.concatenate([fv, fa])
+    def test_zero_branches_residual_identity(self, toy_params, rng):
+        params = zero_branches(toy_params)
+        vision = rng.standard_normal((4, TOY.dv))
+        audio = rng.standard_normal((4, TOY.da))
+        # the residual base is the audio input when vision is ablated ...
+        fwd = stacked(params, vision, audio, Ablation(no_vision=True))
+        assert np.array_equal(fwd.fused[0], audio)
+        # ... and the projected vision otherwise
         t = params.tensors
+        projected = np.maximum(vision @ t["wv1"].T + t["bv1"], 0) @ t["wv2"].T + t["bv2"]
+        assert np.allclose(stacked(params, vision, audio).fused[0], projected, atol=1e-12)
+
+    def test_zero_vision_gives_pure_relation(self, toy_params, rng):
+        params = toy_params.copy()
+        params.tensors["wv2"][:] = 0.0
+        params.tensors["bv2"][:] = 0.0
+        audio = rng.standard_normal((3, TOY.da))
+        out = stacked(params, rng.standard_normal((3, TOY.dv)), audio).fused[0]
+        # with a zero residual base the output is the branch concatenation
+        t = params.tensors
+        cat = np.concatenate([np.zeros_like(audio), audio], axis=1)
         pieces = []
         for j in range(TOY.k):
-            z1 = np.maximum(t[f"f{j}_w1"] @ cat + t[f"f{j}_b1"], 0)
-            z2 = np.maximum(t[f"f{j}_w2"] @ z1 + t[f"f{j}_b2"], 0)
-            pieces.append(t[f"f{j}_w3"] @ z2 + t[f"f{j}_b3"])
-        assert np.allclose(out, np.concatenate(pieces))
+            z1 = np.maximum(cat @ t[f"f{j}_w1"].T + t[f"f{j}_b1"], 0)
+            z2 = np.maximum(z1 @ t[f"f{j}_w2"].T + t[f"f{j}_b2"], 0)
+            pieces.append(z2 @ t[f"f{j}_w3"].T + t[f"f{j}_b3"])
+        assert np.allclose(out, np.concatenate(pieces, axis=1))
 
     def test_branch_widths_k4(self):
         params = init_params(ModelConfig(k=4), 0)
         assert params.tensors["f0_w3"].shape[0] == 32
-        out = fuse(np.zeros(128), np.zeros(128), params)
-        assert out.shape == (128,)
+        fwd = stacked(params, np.zeros((1, 512)), np.zeros((1, 128)))
+        assert fwd.fused.shape == (1, 1, 128)
 
 
 class TestScoring:
-    def test_zero_scorer_zero_score(self, toy_params):
+    def test_zero_scorer_zero_score(self, toy_params, rng):
         params = toy_params.copy()
         for name in ("ws", "bs", "bh"):
             params.tensors[name][:] = 0.0
-        assert initial_score(np.ones(TOY.da), params) == 0.0
+        fwd = stacked(params, rng.standard_normal((4, TOY.dv)), rng.standard_normal((4, TOY.da)))
+        assert np.array_equal(fwd.raw_scores, np.zeros((1, 4)))
 
     def test_hand_chain(self):
+        # zero branches and ablated vision make the fused feature the audio row
         cfg = ModelConfig(dv=2, da=2, hv=2, hf=2, ds=1, hc=2, k=1)
-        params = init_params(cfg, 0)
+        params = zero_branches(init_params(cfg, 0))
         params.tensors["ws"] = np.array([[1.0, 0.0]])
         params.tensors["wh"] = np.array([[2.0]])
         params.tensors["bs"][:] = 0.0
         params.tensors["bh"][:] = 0.0
-        assert initial_score(np.array([3.0, 9.9]), params) == 6.0
-        assert initial_score(np.array([-3.0, 9.9]), params) == 0.0
+        audio = np.array([[3.0, 9.9], [-3.0, 9.9]])
+        fwd = stacked(params, np.zeros((2, 2)), audio, Ablation(no_vision=True))
+        assert np.array_equal(fwd.raw_scores[0], [6.0, 0.0])
 
     def test_normalize_uniform(self):
         out = normalize_scores(np.full(60, 0.7))
@@ -164,19 +184,58 @@ class TestBagFeature:
 
 
 class TestClassifier:
-    def test_equal_logits_half(self, toy_params):
-        params = zeroed(toy_params)
-        assert classify_bag(np.ones(TOY.da), params) == 0.5
+    def test_equal_logits_half(self, toy_params, rng):
+        fwd = stacked(zeroed(toy_params), rng.standard_normal((3, TOY.dv)), np.ones((3, TOY.da)))
+        assert fwd.event_prob[0] == 0.5
 
-    def test_hand_logits(self, toy_params):
+    def test_hand_logits(self, toy_params, rng):
         params = zeroed(toy_params)
         params.tensors["bc2"] = np.array([0.0, np.log(3.0)])
-        assert abs(classify_bag(np.zeros(TOY.da), params) - 0.75) < 1e-12
+        fwd = stacked(params, rng.standard_normal((3, TOY.dv)), rng.standard_normal((3, TOY.da)))
+        assert abs(fwd.event_prob[0] - 0.75) < 1e-12
 
     def test_range(self, toy_params, rng):
-        for _ in range(20):
-            y = classify_bag(rng.standard_normal(TOY.da) * 10, toy_params)
-            assert 0.0 <= y <= 1.0
+        vision = 10 * rng.standard_normal((20, 4, TOY.dv))
+        audio = 10 * rng.standard_normal((20, 4, TOY.da))
+        y = forward_stacked(vision, audio, toy_params).event_prob
+        assert y.shape == (20,)
+        assert np.all((0.0 <= y) & (y <= 1.0))
+
+    def test_head_skipped_on_request(self, toy_params, rng):
+        vision = rng.standard_normal((2, 3, TOY.dv))
+        audio = rng.standard_normal((2, 3, TOY.da))
+        full = forward_stacked(vision, audio, toy_params)
+        bare = forward_stacked(vision, audio, toy_params, head=False)
+        assert bare.event_prob is None and bare.bag_feature is None
+        assert np.array_equal(bare.raw_scores, full.raw_scores)
+
+
+MODALITIES = [Ablation(), Ablation(no_audio=True), Ablation(no_vision=True)]
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("ablation", MODALITIES, ids=["full", "no-audio", "no-vision"])
+    def test_stack_matches_single_bags(self, toy_params, rng, ablation):
+        bags = [random_bag(rng, n=6) for _ in range(4)]
+        fwd = forward_stacked(
+            np.stack([b.vision for b in bags]), np.stack([b.audio for b in bags]), toy_params, ablation
+        )
+        assert fwd.raw_scores.shape == (4, 6) and fwd.bag_feature.shape == (4, TOY.fused_dim)
+        for i, bag in enumerate(bags):
+            one = forward_bag(bag, toy_params, ablation)
+            assert np.allclose(fwd.fused[i], one.fused, rtol=0, atol=1e-12)
+            assert np.allclose(fwd.raw_scores[i], one.raw_scores, rtol=0, atol=1e-12)
+            assert np.allclose(fwd.norm_scores[i], one.norm_scores, rtol=0, atol=1e-12)
+            assert np.allclose(fwd.bag_feature[i], one.bag_feature, rtol=0, atol=1e-12)
+            assert abs(fwd.event_prob[i] - one.event_prob) <= 1e-12
+
+    def test_in_bag_softmax_per_bag(self, toy_params, rng):
+        fwd = forward_stacked(
+            rng.standard_normal((3, 5, TOY.dv)), rng.standard_normal((3, 5, TOY.da)), toy_params
+        )
+        assert np.allclose(fwd.norm_scores.sum(axis=1), 1.0, atol=1e-12)
+        for i in range(3):
+            assert np.allclose(fwd.norm_scores[i], normalize_scores(fwd.raw_scores[i]), atol=1e-15)
 
 
 class TestForwardBag:

@@ -5,42 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from milrank.errors import NumericError, ShapeError
-from milrank.numkit import finite_diff_gradient, linear, relu, stable_softmax
+from milrank.numkit import finite_diff_gradient, relu, stable_softmax
 
 finite_vecs = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False), min_size=1, max_size=20
 ).map(lambda v: np.asarray(v, dtype=np.float64))
-
-
-class TestLinear:
-    def test_identity(self):
-        out = linear(np.eye(2), np.zeros(2), np.array([3.0, -1.0]))
-        assert np.array_equal(out, [3.0, -1.0])
-
-    def test_zero_weights_return_bias(self):
-        out = linear(np.zeros((2, 3)), np.array([5.0, 7.0]), np.array([1.0, 2.0, 3.0]))
-        assert np.array_equal(out, [5.0, 7.0])
-
-    def test_hand_matrix(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = linear(w, np.ones(2), np.ones(2))
-        assert np.allclose(out, [4.0, 8.0])
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\)"):
-            linear(np.zeros((2, 3)), np.zeros(2), np.zeros(4))
-        with pytest.raises(ShapeError):
-            linear(np.zeros((2, 3)), np.zeros(5), np.zeros(3))
-
-    @given(finite_vecs)
-    def test_additive_in_x(self, x):
-        rng = np.random.default_rng(0)
-        w = rng.standard_normal((3, len(x)))
-        b = rng.standard_normal(3)
-        y = rng.standard_normal(len(x))
-        lhs = linear(w, b, x + y)
-        rhs = linear(w, b, x) + linear(w, np.zeros(3), y)
-        assert np.allclose(lhs, rhs, atol=1e-5)
 
 
 class TestRelu:

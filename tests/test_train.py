@@ -260,6 +260,35 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="trailing"):
             load_checkpoint(path)
 
+    @staticmethod
+    def replace_metadata(path, meta: bytes) -> None:
+        raw = path.read_bytes()
+        old_len = int.from_bytes(raw[8:12], "little")
+        path.write_bytes(raw[:8] + len(meta).to_bytes(4, "little") + meta + raw[12 + old_len :])
+
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            b'{"config": \xff}',
+            b'{"config": ',
+            b'["config", "step", "epoch"]',
+            b'{"step": 0, "epoch": 0}',
+            b'{"config": {"model": {}}, "epoch": 0}',
+            b'{"config": {"model": {}}, "step": 0}',
+            b'{"config": {"model": {}, "speed": 2}, "step": 0, "epoch": 0}',
+            b'{"config": {"model": {"depth": 3}}, "step": 0, "epoch": 0}',
+            b'{"config": {"lr0": 0.1}, "step": 0, "epoch": 0}',
+        ],
+        ids=["utf8", "json", "not-object", "no-config", "no-step", "no-epoch",
+             "unknown-key", "unknown-model-key", "no-model"],
+    )
+    def test_bad_metadata(self, tmp_path, meta):
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, self.make_checkpoint())
+        self.replace_metadata(path, meta)
+        with pytest.raises(FormatError, match="c.mnck: .*metadata"):
+            load_checkpoint(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "c.mnck"
         save_checkpoint(path, self.make_checkpoint())
