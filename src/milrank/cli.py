@@ -101,7 +101,7 @@ def _echo_config(config: TrainingConfig, out_dir: Path) -> None:
         lines.append(f"{key} = {d[key]}")
     for key in sorted(model):
         lines.append(f"model.{key} = {model[key]}")
-    (out_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    datamod.write_atomic(out_dir / "config.txt", ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -157,7 +157,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / f"{args.event}.{args.metric}.report"
-    report_path.write_text(report.to_text(), encoding="utf-8")
+    datamod.write_atomic(report_path, report.to_text().encode("utf-8"))
     print(f"{args.event}\t{report.metric}\t{report.aggregate:.10g}")
     return EXIT_OK
 

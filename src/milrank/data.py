@@ -9,6 +9,8 @@ by N*Da float32 little-endian values, row-major.
 from __future__ import annotations
 
 import math
+import os
+import secrets
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,6 +99,23 @@ class SyntheticSpec:
             raise DataError("noise_sigma must be positive")
 
 
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write the concatenated ``chunks`` to ``path`` through a temporary file
+    in the same directory and ``os.replace``: the path holds either its old
+    bytes or all of the new ones, and a failed write leaves no temporary
+    file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # MNF1 feature files
 
@@ -121,11 +140,13 @@ def write_feature_file(
     dims = (vision.shape[1], audio.shape[1])
     if expect_dims is not None and dims != tuple(expect_dims):
         raise FormatError(f"feature dims {dims} do not match expected {tuple(expect_dims)}")
-    with open(path, "wb") as fh:
-        fh.write(MNF1_MAGIC)
-        fh.write(struct.pack("<III", n, dims[0], dims[1]))
-        fh.write(np.ascontiguousarray(vision, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(audio, dtype="<f4").tobytes())
+    write_atomic(
+        path,
+        MNF1_MAGIC,
+        struct.pack("<III", n, dims[0], dims[1]),
+        np.ascontiguousarray(vision, dtype="<f4").tobytes(),
+        np.ascontiguousarray(audio, dtype="<f4").tobytes(),
+    )
 
 
 def read_feature_file(
@@ -208,7 +229,7 @@ def write_manifest(index: DatasetIndex, path) -> None:
             lp = Path(r.label_path)
             fields.append(str(lp.relative_to(base) if lp.is_relative_to(base) else lp))
         lines.append("\t".join(fields))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_labels(path) -> np.ndarray:

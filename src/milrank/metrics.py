@@ -4,6 +4,7 @@ top-k ranks, per-event aggregation, and highlight extraction.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -174,7 +175,7 @@ def extract_highlights(
             raise ShapeError("top-k extraction needs k >= 1")
         clamped = k > len(segments)
         kk = min(k, len(segments))
-        order = sorted(range(len(segments)), key=lambda i: (-segments[i].score, i))[:kk]
+        order = heapq.nsmallest(kk, range(len(segments)), key=lambda i: (-segments[i].score, i))
         return [segments[i] for i in sorted(order)], clamped
     if mode == "threshold":
         if threshold is None:

@@ -19,6 +19,13 @@ from .data import Bag, VideoRecord
 from .errors import ConfigError, ShapeError
 from .numkit import relu, require_finite, stable_softmax
 
+# Rows per forward pass when scoring a video.  Segments are scored
+# independently, so any row partition gives the same scores; a block this size
+# keeps the forward's intermediates small enough to reuse the same memory from
+# block to block, where a whole long video would allocate and fault in tens of
+# megabytes per call.
+SCORE_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -39,7 +46,10 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("dv", "da", "hv", "hf", "ds", "hc", "k"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigError(f"model width {name} must be an int, got {value!r}")
+            if value < 1:
                 raise ConfigError(f"model width {name} must be >= 1")
         if self.fused_dim % self.k != 0:
             raise ConfigError(f"branch count k={self.k} must divide the fused width {self.fused_dim}")
@@ -177,6 +187,15 @@ def bag_feature(norm: np.ndarray, fused: np.ndarray) -> np.ndarray:
     return norm @ fused
 
 
+def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """relu(x @ w.T + b), with the bias and the relu applied in place on the
+    matmul output: the same operations in the same order as the expression,
+    without its two temporaries."""
+    z = x @ w.T
+    z += b
+    return relu(z, out=z)
+
+
 def forward_stacked(
     vision: np.ndarray,
     audio: np.ndarray,
@@ -209,20 +228,26 @@ def forward_stacked(
         base = a
         cat = np.concatenate([a, a], axis=1)
     else:
-        proj_hidden = relu(v @ t["wv1"].T + t["bv1"])
-        base = proj_hidden @ t["wv2"].T + t["bv2"]
+        proj_hidden = _dense_relu(v, t["wv1"], t["bv1"])
+        base = proj_hidden @ t["wv2"].T
+        base += t["bv2"]
         cat = np.concatenate([base, base if ablation.no_audio else a], axis=1)
 
     z1s, z2s, outs = [], [], []
     for j in range(cfg.k):
-        z1 = relu(cat @ t[f"f{j}_w1"].T + t[f"f{j}_b1"])
-        z2 = relu(z1 @ t[f"f{j}_w2"].T + t[f"f{j}_b2"])
-        outs.append(z2 @ t[f"f{j}_w3"].T + t[f"f{j}_b3"])
+        z1 = _dense_relu(cat, t[f"f{j}_w1"], t[f"f{j}_b1"])
+        z2 = _dense_relu(z1, t[f"f{j}_w2"], t[f"f{j}_b2"])
+        out = z2 @ t[f"f{j}_w3"].T
+        out += t[f"f{j}_b3"]
+        outs.append(out)
         z1s.append(z1)
         z2s.append(z2)
-    fused = base + np.concatenate(outs, axis=1)
-    score_hidden = relu(fused @ t["ws"].T + t["bs"])
-    raw = (score_hidden @ t["wh"].T + t["bh"]).reshape(n_bags, n)
+    fused = np.concatenate(outs, axis=1)
+    fused += base
+    score_hidden = _dense_relu(fused, t["ws"], t["bs"])
+    raw = score_hidden @ t["wh"].T
+    raw += t["bh"]
+    raw = raw.reshape(n_bags, n)
     require_finite(raw, "raw scores")
     norm = stable_softmax(raw)
     fused = fused.reshape(n_bags, n, cfg.fused_dim)
@@ -230,7 +255,7 @@ def forward_stacked(
     fb = cls_hidden = probs = event_prob = None
     if head:
         fb = np.matmul(norm[:, None, :], fused)[:, 0, :]
-        cls_hidden = relu(fb @ t["wc1"].T + t["bc1"])
+        cls_hidden = _dense_relu(fb, t["wc1"], t["bc1"])
         probs = stable_softmax(cls_hidden @ t["wc2"].T + t["bc2"])
         event_prob = probs[:, 1]
     return StackedForward(
@@ -267,8 +292,20 @@ def score_video(
     video: VideoRecord, params: ModelParams, ablation: Ablation = Ablation()
 ) -> np.ndarray:
     """Raw per-segment highlight scores; each segment is scored independently,
-    so ranking by these matches ranking by any within-video softmax."""
+    so ranking by these matches ranking by any within-video softmax.
+
+    The video runs through the network in blocks of ``SCORE_BLOCK_ROWS``
+    segments, so the memory it takes does not grow with its length."""
     if video.n_segments == 0:
         raise ShapeError(f"{video.video_id}: empty video")
-    fwd = forward_stacked(video.vision[None], video.audio[None], params, ablation, head=False)
-    return fwd.raw_scores[0]
+    blocks = [
+        forward_stacked(
+            video.vision[None, i : i + SCORE_BLOCK_ROWS],
+            video.audio[None, i : i + SCORE_BLOCK_ROWS],
+            params,
+            ablation,
+            head=False,
+        ).raw_scores[0]
+        for i in range(0, video.n_segments, SCORE_BLOCK_ROWS)
+    ]
+    return np.concatenate(blocks)

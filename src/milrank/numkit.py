@@ -8,7 +8,7 @@ softmax sums accumulate in double precision.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .errors import NumericError, ShapeError
 GradientSet = Dict[str, np.ndarray]
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def stable_softmax(x: np.ndarray) -> np.ndarray:

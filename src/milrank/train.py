@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -30,6 +31,9 @@ MNCK_MAGIC = b"MNCK"
 MNCK_VERSION = 1
 _DTYPES = {1: "<f4", 2: "<f8"}
 _DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2}
+# Metadata key of the tensor-section checksum.  Files without it (older
+# checkpoints, hand-built ones) load unchecked.
+_CRC_KEY = "tensor_crc32"
 
 
 @dataclass(frozen=True)
@@ -228,8 +232,8 @@ def train_event(
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / f"{interest_event}.train.log").write_text(
-            "\n".join(log_lines) + "\n", encoding="utf-8"
+        datamod.write_atomic(
+            out_dir / f"{interest_event}.train.log", ("\n".join(log_lines) + "\n").encode("utf-8")
         )
     if checkpoint_path is not None:
         save_checkpoint(checkpoint_path, _snapshot(params, config, state, bag_rng, neg_rng, shuffle_rng))
@@ -260,31 +264,31 @@ def _config_from_dict(d: dict) -> TrainingConfig:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write an MNCK file atomically.  The metadata carries a CRC-32 of the
+    tensor section (everything after the metadata block)."""
+    tensors = [(f"p/{k}", v) for k, v in sorted(ckpt.params.tensors.items())]
+    tensors += [(f"v/{k}", v) for k, v in sorted(ckpt.state.velocity.items())]
+    section = bytearray(struct.pack("<I", len(tensors)))
+    for name, tensor in tensors:
+        nb = name.encode("utf-8")
+        code = _DTYPE_CODES[tensor.dtype]
+        section += struct.pack("<I", len(nb))
+        section += nb
+        section += struct.pack("<BI", code, tensor.ndim)
+        section += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
+        section += np.ascontiguousarray(tensor).astype(_DTYPES[code]).tobytes()
     meta = {
         "config": asdict(ckpt.config),
         "step": ckpt.state.step,
         "epoch": ckpt.state.epoch,
         "params_version": ckpt.params.version,
         "rng_states": ckpt.rng_states,
+        _CRC_KEY: zlib.crc32(section),
     }
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tensors = [(f"p/{k}", v) for k, v in sorted(ckpt.params.tensors.items())]
-    tensors += [(f"v/{k}", v) for k, v in sorted(ckpt.state.velocity.items())]
-    blob = bytearray()
-    blob += MNCK_MAGIC
-    blob += struct.pack("<I", MNCK_VERSION)
-    blob += struct.pack("<I", len(meta_bytes))
-    blob += meta_bytes
-    blob += struct.pack("<I", len(tensors))
-    for name, tensor in tensors:
-        nb = name.encode("utf-8")
-        code = _DTYPE_CODES[tensor.dtype]
-        blob += struct.pack("<I", len(nb))
-        blob += nb
-        blob += struct.pack("<BI", code, tensor.ndim)
-        blob += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
-        blob += np.ascontiguousarray(tensor).astype(_DTYPES[code]).tobytes()
-    Path(path).write_bytes(bytes(blob))
+    datamod.write_atomic(
+        path, MNCK_MAGIC, struct.pack("<II", MNCK_VERSION, len(meta_bytes)), meta_bytes, section
+    )
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -309,11 +313,17 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(take(meta_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint metadata: {exc}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: malformed checkpoint metadata: not a JSON object")
+    section_start = off
     (n_tensors,) = struct.unpack("<I", take(4))
     tensors: Dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from None
         code, ndim = struct.unpack("<BI", take(5))
         if code not in _DTYPES:
             raise FormatError(f"{path}: unknown dtype code {code} for {name}")
@@ -324,10 +334,13 @@ def load_checkpoint(path) -> Checkpoint:
         tensors[name] = arr.astype(arr.dtype.newbyteorder("=")).copy()
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
+    if _CRC_KEY in meta and zlib.crc32(memoryview(raw)[section_start:]) != meta[_CRC_KEY]:
+        raise FormatError(f"{path}: tensor checksum mismatch")
 
     try:
         config = _config_from_dict(meta["config"])
         step, epoch = meta["step"], meta["epoch"]
+        config.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint metadata: {exc!r}") from None
     p_tensors = {k[2:]: v for k, v in tensors.items() if k.startswith("p/")}
@@ -341,6 +354,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(
                 f"{path}: tensor {name} has shape {p_tensors[name].shape}, expected {shape}"
             )
+    if set(v_tensors) != expected or any(v_tensors[k].shape != p_tensors[k].shape for k in expected):
+        raise FormatError(f"{path}: velocity tensors do not match the parameter tensors")
     params = ModelParams(config.model, p_tensors)
     params.version = meta.get("params_version", 0)
     state = OptimizerState(velocity=v_tensors, step=step, epoch=epoch)

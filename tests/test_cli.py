@@ -133,6 +133,9 @@ class TestTrain:
         ckpt = load_checkpoint(trained / "ev00.mnck")
         assert ckpt.state.epoch == 2
 
+    def test_no_temporary_files_left(self, trained):
+        assert sorted(p.name for p in trained.iterdir()) == ["config.txt", "ev00.mnck", "ev00.train.log"]
+
     def test_config_echo_contains_overrides(self, trained):
         text = (trained / "config.txt").read_text()
         assert "epochs = 2" in text

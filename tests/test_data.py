@@ -1,7 +1,10 @@
+import builtins
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import TOY
 from milrank.data import (
     Bag,
     DatasetIndex,
@@ -16,10 +19,13 @@ from milrank.data import (
     sample_bag,
     split_videos,
     train_test_split,
+    write_atomic,
     write_feature_file,
     write_manifest,
 )
 from milrank.errors import DataError, FormatError
+from milrank.model import init_params
+from milrank.train import Checkpoint, OptimizerState, TrainingConfig, save_checkpoint
 
 
 def make_video(rng, n=10, dv=8, da=4, video_id="v", event="e", duration=50.0):
@@ -366,3 +372,64 @@ class TestSynthetic:
             gen_synthetic(dataclasses.replace(self.SPEC, noise_sigma=0.0), tmp_path)
         with pytest.raises(DataError):
             gen_synthetic(dataclasses.replace(self.SPEC, highlight_fraction=0.01), tmp_path)
+
+
+class HalfWrite:
+    """A file whose first write stores half its bytes and then fails, as on a
+    full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = builtins.open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.fh.write(bytes(chunk)[: len(chunk) // 2])
+        raise OSError(28, "No space left on device")
+
+
+def write_small_checkpoint(path, seed):
+    config = TrainingConfig(model=TOY)
+    params = init_params(config.model, seed)
+    velocity = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    save_checkpoint(path, Checkpoint(params, config, OptimizerState(velocity=velocity)))
+
+
+WRITERS = {
+    "helper": lambda path, seed: write_atomic(path, bytes([seed]) * 64),
+    "feature-file": lambda path, seed: write_feature_file(
+        path, np.full((3, 8), seed), np.full((3, 4), seed), expect_dims=None
+    ),
+    "checkpoint": write_small_checkpoint,
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out.bin"
+        WRITERS[writer](path, 1)
+        old = path.read_bytes()
+        monkeypatch.setattr("milrank.data.open", HalfWrite, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            WRITERS[writer](path, 2)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_write_replaces_whole_file(self, tmp_path, writer):
+        path = tmp_path / "out.bin"
+        WRITERS[writer](path, 1)
+        first = path.read_bytes()
+        WRITERS[writer](path, 2)
+        assert path.read_bytes() != first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    def test_missing_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            write_atomic(tmp_path / "no" / "out.bin", b"x")
+        assert list(tmp_path.iterdir()) == []

@@ -251,6 +251,15 @@ class TestExtractHighlights:
         sel, _ = extract_highlights(segs, "top-k", k=2)
         assert [s.segment_index for s in sel] == [0, 1]
 
+    @pytest.mark.parametrize("k", [1, 3, 7, 12, 13, 40])
+    def test_topk_matches_full_sort_with_ties(self, k):
+        scores = [0.5, 0.2, 0.5, 0.9, 0.2, 0.5, 0.9, 0.1, 0.2, 0.5, -0.3, 0.9]
+        segs = self.make_segments(scores)
+        sel, clamped = extract_highlights(segs, "top-k", k=k)
+        ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+        assert [s.segment_index for s in sel] == sorted(ranked[:k])
+        assert clamped == (k > len(scores))
+
     def test_threshold(self):
         segs = self.make_segments([0.1, 0.9, 0.5])
         sel, clamped = extract_highlights(segs, "threshold", threshold=0.5)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import TOY, random_bag
 from milrank.data import Bag, VideoRecord
-from milrank.errors import ConfigError, ShapeError
+from milrank.errors import ConfigError, NumericError, ShapeError
 from milrank.model import (
+    SCORE_BLOCK_ROWS,
     Ablation,
     ModelConfig,
     bag_feature,
@@ -315,3 +318,68 @@ class TestScoreVideo:
         video = VideoRecord("v", "e", 0.0, np.zeros((0, TOY.dv)), np.zeros((0, TOY.da)))
         with pytest.raises(ShapeError):
             score_video(video, toy_params)
+
+
+def with_random_biases(params, seed):
+    """Biases start at zero; give them values so an in-place write would show."""
+    rng = np.random.default_rng(seed)
+    for t in params.tensors.values():
+        if t.ndim == 1:
+            t += 0.1 * rng.standard_normal(t.shape)
+    return params
+
+
+class TestBlockedScoring:
+    @pytest.fixture(scope="class")
+    def params(self):
+        return with_random_biases(init_params(ModelConfig(), 21), 21)
+
+    @staticmethod
+    def video(n, config=ModelConfig(), seed=0):
+        rng = np.random.default_rng(seed)
+        vision = rng.standard_normal((n, config.dv)).astype(np.float32)
+        audio = rng.standard_normal((n, config.da)).astype(np.float32)
+        return VideoRecord("v", "e", float(n), vision, audio)
+
+    @pytest.mark.parametrize("ablation", MODALITIES, ids=["full", "no-audio", "no-vision"])
+    @pytest.mark.parametrize(
+        "n", [1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 3 * SCORE_BLOCK_ROWS + 5]
+    )
+    def test_blocks_match_one_forward(self, params, ablation, n):
+        video = self.video(n)
+        scores = score_video(video, params, ablation)
+        whole = forward_stacked(video.vision[None], video.audio[None], params, ablation, head=False)
+        expect = whole.raw_scores[0]
+        assert scores.shape == (n,)
+        assert np.max(np.abs(scores - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_peak_memory_does_not_grow_with_length(self, params):
+        video = self.video(5000)
+        score_video(video, params)
+        tracemalloc.start()
+        try:
+            score_video(video, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-video forward holds about 21.5 KB per segment: 107 MB here
+        assert peak < 16e6
+
+    def test_nonfinite_score_in_a_later_block(self, toy_params):
+        video = self.video(2 * SCORE_BLOCK_ROWS + 3, TOY)
+        video.vision[2 * SCORE_BLOCK_ROWS + 1, 0] = np.nan
+        with pytest.raises(NumericError):
+            score_video(video, toy_params)
+
+    @pytest.mark.parametrize("ablation", MODALITIES, ids=["full", "no-audio", "no-vision"])
+    def test_forward_leaves_params_and_inputs_unchanged(self, rng, ablation):
+        params = with_random_biases(init_params(TOY, 5), 5)
+        before = params.copy()
+        vision = rng.standard_normal((3, 7, TOY.dv))
+        audio = rng.standard_normal((3, 7, TOY.da))
+        inputs = (vision.copy(), audio.copy())
+        forward_stacked(vision, audio, params, ablation)
+        score_video(VideoRecord("v", "e", 7.0, vision[0], audio[0]), params, ablation)
+        for name, t in params.tensors.items():
+            assert np.array_equal(t, before.tensors[name]), name
+        assert np.array_equal(vision, inputs[0]) and np.array_equal(audio, inputs[1])

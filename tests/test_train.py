@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -297,3 +298,63 @@ class TestCheckpointIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)
+
+    @staticmethod
+    def metadata(path) -> dict:
+        raw = path.read_bytes()
+        return json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, self.make_checkpoint())
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b"p/bc1", b"p/\xffc1", 1))
+        with pytest.raises(FormatError, match="c.mnck: tensor name is not UTF-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("k", ["2", 2.0, None], ids=["str", "float", "null"])
+    def test_model_width_not_an_int(self, tmp_path, k):
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, self.make_checkpoint())
+        meta = self.metadata(path)
+        meta["config"]["model"]["k"] = k
+        self.replace_metadata(path, json.dumps(meta).encode("utf-8"))
+        with pytest.raises(FormatError, match="c.mnck: .*metadata"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("fault", ["none", "missing-one", "extra-one", "wrong-shape"])
+    def test_velocities_must_match_parameters(self, tmp_path, fault):
+        ckpt = self.make_checkpoint()
+        velocity = ckpt.state.velocity
+        if fault == "none":
+            velocity.clear()
+        elif fault == "missing-one":
+            del velocity["bc1"]
+        elif fault == "extra-one":
+            velocity["extra"] = np.zeros(3)
+        else:
+            velocity["bc1"] = np.zeros(velocity["bc1"].size + 1)
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(FormatError, match="c.mnck: velocity"):
+            load_checkpoint(path)
+
+    def test_flipped_payload_bit_detected(self, tmp_path):
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, self.make_checkpoint())
+        raw = bytearray(path.read_bytes())
+        raw[-3] ^= 0x10  # inside the last tensor's float64 payload
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="c.mnck: tensor checksum mismatch"):
+            load_checkpoint(path)
+
+    def test_checkpoint_without_checksum_loads(self, tmp_path):
+        ckpt = self.make_checkpoint()
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, ckpt)
+        meta = self.metadata(path)
+        del meta["tensor_crc32"]
+        self.replace_metadata(path, json.dumps(meta).encode("utf-8"))
+        loaded = load_checkpoint(path)
+        for name in ckpt.params.tensors:
+            assert np.array_equal(loaded.params.tensors[name], ckpt.params.tensors[name])
