@@ -9,15 +9,16 @@ configuration is echoed into the output directory.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, get_type_hints
 
 from . import data as datamod
 from . import metrics
 from .errors import ConfigError, MilrankError
-from .gradcheck import run_gradient_check
+from .gradcheck import TOLERANCE, run_gradient_check
+from .losses import VARIANTS
 from .model import ModelConfig
 from .train import TrainingConfig, load_checkpoint, train_event
 
@@ -25,25 +26,11 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_TRAIN_KEYS = {
-    "lr0": float,
-    "lr_decay": float,
-    "lr_decay_every": int,
-    "momentum": float,
-    "weight_decay": float,
-    "epochs": int,
-    "bag_size": int,
-    "tau": float,
-    "eps": float,
-    "loss_variant": str,
-    "no_audio": bool,
-    "no_vision": bool,
-    "no_mmrl": bool,
-    "no_bcm": bool,
-    "pairs_per_step": int,
-    "seed": int,
-    "k": int,
-}
+# The training settings: every scalar `TrainingConfig` field plus the model's
+# branch count under its checkpoint name.  Config-file keys, `train` flags and
+# the echoed `config.txt` all come from this one table.
+_SCHEMA = {key: typ for key, typ in get_type_hints(TrainingConfig).items() if key != "model"}
+_SCHEMA["model.k"] = get_type_hints(ModelConfig)["k"]
 
 
 def _parse_config_file(path: Path) -> dict:
@@ -60,9 +47,9 @@ def _parse_config_file(path: Path) -> dict:
 
 
 def _coerce(key: str, value: str):
-    if key not in _TRAIN_KEYS:
+    if key not in _SCHEMA:
         raise ConfigError(f"unknown config key {key!r}")
-    typ = _TRAIN_KEYS[key]
+    typ = _SCHEMA[key]
     if typ is bool:
         if value.lower() in ("1", "true", "yes"):
             return True
@@ -80,49 +67,35 @@ def _build_training_config(args) -> TrainingConfig:
     if args.config:
         for key, raw in _parse_config_file(Path(args.config)).items():
             values[key] = _coerce(key, raw)
-    for key in _TRAIN_KEYS:
-        flag = getattr(args, key, None)
+    for key in _SCHEMA:
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     if values.get("seed") is None:
         raise ConfigError("--seed is required (no silent nondeterminism)")
-    k = values.pop("k", None)
-    model = ModelConfig(k=k) if k is not None else ModelConfig()
-    config = TrainingConfig(model=model, **values)
+    model = {key.split(".")[1]: values.pop(key) for key in list(values) if "." in key}
+    config = TrainingConfig(model=ModelConfig(**model), **values)
     config.validate()
     return config
 
 
 def _echo_config(config: TrainingConfig, out_dir: Path) -> None:
-    lines = []
-    d = dataclasses.asdict(config)
-    model = d.pop("model")
-    for key in sorted(d):
-        lines.append(f"{key} = {d[key]}")
-    for key in sorted(model):
-        lines.append(f"model.{key} = {model[key]}")
-    datamod.write_atomic(out_dir / "config.txt", ("\n".join(lines) + "\n").encode("utf-8"))
+    """Write the settings as a config file that ``--config`` reads back."""
+    lines = [f"{key} = {functools.reduce(getattr, key.split('.'), config)}\n" for key in _SCHEMA]
+    datamod.write_atomic(out_dir / "config.txt", "".join(lines).encode("utf-8"))
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--lr-decay", dest="lr_decay", type=float)
-    p.add_argument("--lr-decay-every", dest="lr_decay_every", type=int)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--bag-size", dest="bag_size", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--epsilon", dest="eps", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--loss-variant", dest="loss_variant", choices=("max-max", "min-min", "min-max", "max-min"))
-    p.add_argument("--no-audio", dest="no_audio", action="store_const", const=True)
-    p.add_argument("--no-vision", dest="no_vision", action="store_const", const=True)
-    p.add_argument("--no-mmrl", dest="no_mmrl", action="store_const", const=True)
-    p.add_argument("--no-bcm", dest="no_bcm", action="store_const", const=True)
-    p.add_argument("--pairs-per-step", dest="pairs_per_step", type=int)
-    p.add_argument("--seed", type=int)
+    for key, typ in _SCHEMA.items():
+        # eps keeps the paper's name for the margin
+        flag = "--epsilon" if key == "eps" else "--" + key.split(".")[-1].replace("_", "-")
+        if typ is bool:
+            p.add_argument(flag, dest=key, action="store_const", const=True)
+        elif key == "loss_variant":
+            p.add_argument(flag, dest=key, choices=VARIANTS)
+        else:
+            p.add_argument(flag, dest=key, type=typ)
 
 
 def cmd_train(args) -> int:
@@ -163,6 +136,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_score(args) -> int:
+    if args.topk is not None and args.topk < 1:
+        raise ConfigError("--topk must be >= 1")
     ckpt = load_checkpoint(args.checkpoint)
     expect_dims = (ckpt.config.model.dv, ckpt.config.model.da)
     vision, audio = datamod.read_feature_file(args.features, expect_dims=expect_dims)
@@ -195,18 +170,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    variants = (args.variant,) if args.variant else ("max-max", "min-min", "min-max", "max-min")
+    variants = (args.variant,) if args.variant else VARIANTS
     seeds = range(args.seeds)
     results = run_gradient_check(seeds=seeds, variants=variants, perturb=args.perturb)
-    tolerance = 1e-4
     failing = []
     for label in sorted(results):
         err = results[label]
         print(f"{label}\t{err:.3e}")
-        if err >= tolerance:
+        if err >= TOLERANCE:
             failing.append(label)
     if failing:
-        print(f"FAILED: {', '.join(failing)} exceed {tolerance:g}", file=sys.stderr)
+        print(f"FAILED: {', '.join(failing)} exceed {TOLERANCE:g}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -248,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("gradcheck", help="compare analytic gradients with finite differences")
-    p.add_argument("--variant", choices=("max-max", "min-min", "min-max", "max-min"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--perturb", type=float, default=0.0, help="test hook: inflate errors")
     p.set_defaults(func=cmd_gradcheck)

@@ -16,8 +16,6 @@ from .numkit import GradientSet
 
 BCE_CLAMP = 1e-7
 
-VARIANTS = ("max-max", "min-min", "min-max", "max-min")
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -37,6 +35,7 @@ _VARIANT_OPS = {
     "min-max": (False, True),
     "max-min": (True, False),
 }
+VARIANTS = tuple(_VARIANT_OPS)
 
 
 def _variant_ops(variant: str):
@@ -74,7 +73,8 @@ def mm_ranking_loss(ep, en, eps: float) -> float:
 
 
 def variant_ranking_loss(ep, en, eps: float, variant: str) -> float:
-    if variant not in ("min-min", "min-max", "max-min"):
+    """Ranking loss of one of the variants other than max-max."""
+    if variant == "max-max" or variant not in VARIANTS:
         raise ConfigError(f"unknown ranking loss variant {variant!r}")
     return _ranking_loss(ep, en, eps, variant)
 

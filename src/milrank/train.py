@@ -5,9 +5,10 @@ weight decay, step-decay learning rate, versioned binary checkpoints.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -61,6 +62,10 @@ class TrainingConfig:
         return Ablation(no_audio=self.no_audio, no_vision=self.no_vision)
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
         if not (0.0 < self.lr_decay <= 1.0):
@@ -71,6 +76,12 @@ class TrainingConfig:
             raise ConfigError("bag_size must be >= 1")
         if self.eps < 0:
             raise ConfigError("eps must be nonnegative")
+        if self.tau <= 0:
+            raise ConfigError("tau must be positive")
+        if not (0.0 <= self.momentum < 1.0):
+            raise ConfigError("momentum must lie in [0, 1)")
+        if self.weight_decay < 0:
+            raise ConfigError("weight_decay must be nonnegative")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.pairs_per_step < 1:

@@ -27,6 +27,28 @@ SYNTH_ARGS = [
 
 TRAIN_ARGS = ["--epochs", "2", "--bag-size", "4", "--seed", "5"]
 
+# Every training config key, its flag, and a value that differs from both the
+# default and TRAIN_ARGS.
+CONFIG_KEYS = [
+    ("lr0", "--lr0", "0.01"),
+    ("lr_decay", "--lr-decay", "0.5"),
+    ("lr_decay_every", "--lr-decay-every", "3"),
+    ("momentum", "--momentum", "0.8"),
+    ("weight_decay", "--weight-decay", "0.001"),
+    ("epochs", "--epochs", "1"),
+    ("bag_size", "--bag-size", "3"),
+    ("tau", "--tau", "50.0"),
+    ("eps", "--epsilon", "0.5"),
+    ("loss_variant", "--loss-variant", "min-max"),
+    ("no_audio", "--no-audio", "True"),
+    ("no_vision", "--no-vision", "True"),
+    ("no_mmrl", "--no-mmrl", "True"),
+    ("no_bcm", "--no-bcm", "True"),
+    ("pairs_per_step", "--pairs-per-step", "2"),
+    ("seed", "--seed", "7"),
+    ("model.k", "--k", "2"),
+]
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -106,6 +128,20 @@ class TestExitCodes:
         assert main(["synth", "--out", str(tmp_path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "line",
+        ["lr0 = nan", "lr0 = inf", "eps = nan", "tau = -5", "momentum = 7", "weight_decay = -1"],
+    )
+    def test_invalid_config_file_value(self, dataset, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 1\nepochs = 1\n{line}\n")
+        code = main(
+            ["train", "--config", str(cfg), "--manifest", str(dataset / "manifest.tsv"), "--event", "ev00", "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSynth:
     def test_writes_manifest(self, dataset):
@@ -175,6 +211,42 @@ class TestTrain:
         )
         assert code == 2
         assert "learning_rate" in capsys.readouterr().err
+
+    def test_old_k_key_rejected(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 2\nseed = 1\n")
+        code = main(
+            ["train", "--config", str(cfg), "--manifest", str(dataset / "manifest.tsv"), "--event", "ev00", "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "'k'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("key,flag,value", CONFIG_KEYS, ids=[k for k, _, _ in CONFIG_KEYS])
+    def test_every_key_echoed(self, dataset, tmp_path, capsys, key, flag, value, source):
+        args = ["train", "--manifest", str(dataset / "manifest.tsv"), "--event", "ev00", "--out", str(tmp_path / "o")]
+        if source == "flag":
+            args += TRAIN_ARGS + ([flag] if value == "True" else [flag, value])
+        else:
+            settings = {"epochs": "2", "bag_size": "4", "seed": "5", key: value}
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+            args += ["--config", str(cfg)]
+        assert main(args) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "o" / "config.txt").read_text().splitlines()
+        assert f"{key} = {value}" in lines
+        assert sorted(line.split(" = ")[0] for line in lines) == sorted(k for k, _, _ in CONFIG_KEYS)
+
+    def test_config_txt_reproduces_run(self, dataset, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        base = ["train", "--manifest", str(dataset / "manifest.tsv"), "--event", "ev00", "--out"]
+        assert main(base + [str(a)] + TRAIN_ARGS + ["--k", "2", "--epsilon", "0.5", "--no-bcm"]) == 0
+        assert main(base + [str(b), "--config", str(a / "config.txt")]) == 0
+        capsys.readouterr()
+        for name in ("config.txt", "ev00.mnck", "ev00.train.log"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert load_checkpoint(b / "ev00.mnck").config.model.k == 2
 
     def test_determinism_bit_identical_checkpoints(self, dataset, tmp_path, capsys):
         outs = []
@@ -281,6 +353,15 @@ class TestEvalScore:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
+    def test_score_topk_zero_is_usage_error(self, dataset, trained, capsys):
+        feature = next(iter(sorted((dataset / "features").iterdir())))
+        code = main(
+            ["score", "--checkpoint", str(trained / "ev00.mnck"), "--features", str(feature), "--topk", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "topk" in captured.err and captured.out == ""
+
     def test_score_rejects_wrong_dims(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.mnf"
         write_feature_file(bad, np.zeros((2, 8)), np.zeros((2, 4)), expect_dims=None)
@@ -317,6 +398,13 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert "FAILED" in captured.err
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_is_usage_error(self, capsys, seeds):
+        code = main(["gradcheck", "--variant", "max-max", "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
 
 
 class TestSubprocessEntry:

@@ -126,6 +126,15 @@ class TestConfigValidation:
             {"loss_variant": "best-best"},
             {"no_mmrl": True, "no_bcm": True},
             {"no_audio": True, "no_vision": True},
+            {"lr0": float("nan")},
+            {"lr0": float("inf")},
+            {"eps": float("nan")},
+            {"tau": 0.0},
+            {"tau": -5.0},
+            {"momentum": 1.0},
+            {"momentum": -0.1},
+            {"momentum": 7.0},
+            {"weight_decay": -1.0},
         ],
     )
     def test_rejects(self, kwargs):
@@ -279,9 +288,10 @@ class TestCheckpointIO:
             b'{"config": {"model": {}, "speed": 2}, "step": 0, "epoch": 0}',
             b'{"config": {"model": {"depth": 3}}, "step": 0, "epoch": 0}',
             b'{"config": {"lr0": 0.1}, "step": 0, "epoch": 0}',
+            b'{"config": {"model": {}, "momentum": 7.0}, "step": 0, "epoch": 0}',
         ],
         ids=["utf8", "json", "not-object", "no-config", "no-step", "no-epoch",
-             "unknown-key", "unknown-model-key", "no-model"],
+             "unknown-key", "unknown-model-key", "no-model", "invalid-value"],
     )
     def test_bad_metadata(self, tmp_path, meta):
         path = tmp_path / "c.mnck"
