@@ -29,11 +29,9 @@ from .model import (
     ModelConfig,
     ModelParams,
     StackedForward,
-    bag_feature,
     forward_bag,
     forward_stacked,
     init_params,
-    normalize_scores,
     score_video,
 )
 from .train import (

@@ -16,7 +16,7 @@ from typing import List, Optional, get_type_hints
 
 from . import data as datamod
 from . import metrics
-from .errors import ConfigError, MilrankError
+from .errors import ConfigError, DataError, MilrankError
 from .gradcheck import TOLERANCE, run_gradient_check
 from .losses import VARIANTS
 from .model import ModelConfig
@@ -164,6 +164,10 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         tau=args.tau,
     )
+    try:
+        spec.validate()
+    except DataError as exc:
+        raise ConfigError(str(exc)) from None
     index = datamod.gen_synthetic(spec, args.out)
     print(f"synth\t{len(index)} videos\t{Path(args.out) / 'manifest.tsv'}")
     return EXIT_OK

@@ -95,8 +95,10 @@ class SyntheticSpec:
             raise DataError("highlight_fraction must lie in (0,1)")
         if self.highlight_fraction * self.segments_per_video < 1:
             raise DataError("highlight_fraction too small: no highlight segment per video")
-        if self.noise_sigma <= 0:
-            raise DataError("noise_sigma must be positive")
+        if not (0.0 < self.noise_sigma < math.inf):
+            raise DataError("noise_sigma must be positive and finite")
+        if not (0.0 < self.tau and 2.0 * self.tau < math.inf):  # durations reach 1.95 tau
+            raise DataError("tau must be positive and finite")
 
 
 def write_atomic(path, *chunks: bytes) -> None:
@@ -368,7 +370,7 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> DatasetIndex:
             fpath = out_dir / "features" / f"{video_id}.mnf"
             lpath = out_dir / "labels" / f"{video_id}.txt"
             write_feature_file(fpath, feats[:, :dv], feats[:, dv:], expect_dims=(dv, da))
-            lpath.write_text("".join(f"{x}\n" for x in labels), encoding="utf-8")
+            write_atomic(lpath, "".join(f"{x}\n" for x in labels).encode("utf-8"))
             index.records.append(VideoRef(video_id, tag, duration, fpath, lpath))
     write_manifest(index, out_dir / "manifest.tsv")
     return index

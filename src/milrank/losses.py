@@ -143,7 +143,8 @@ def backward(
 
     The hinge uses subgradient 0 at the kink; the max/min selections route
     gradient only through the selected instance, while the in-bag softmax
-    Jacobian spreads it over every raw score.
+    Jacobian spreads it over every raw score.  The per-row chain runs in the
+    dtype of the forward's caches: float64 head quantities are cast to it.
     """
     if fwd.params_version != params.version:
         raise ConfigError("forward cache is stale (params changed since forward)")
@@ -155,6 +156,7 @@ def backward(
     e = fwd.norm_scores  # (B, N)
     n_bags, n = e.shape
     fused = fwd.fused.reshape(n_bags * n, cfg.fused_dim)
+    dtype = fused.dtype
     grads: GradientSet = {}
 
     d_norm = np.zeros_like(e)
@@ -176,6 +178,7 @@ def backward(
             [_bce_grad(y, 1) for y in p[:n_pairs, 1]] + [_bce_grad(y, 0) for y in p[n_pairs:, 1]]
         ) / n_pairs
         d_logits = (d_prob * p[:, 1])[:, None] * (np.array([0.0, 1.0]) - p)
+        d_logits = d_logits.astype(dtype, copy=False)
         grads["wc2"] = d_logits.T @ fwd.cls_hidden
         grads["bc2"] = d_logits.sum(axis=0)
         d_ch = d_logits @ t["wc2"]
@@ -185,10 +188,10 @@ def backward(
         d_fb = d_ch @ t["wc1"]  # (B, fused_dim)
         # bag feature: fB = sum_i E_i f_i
         d_norm += np.matmul(fwd.fused, d_fb[:, :, None])[:, :, 0]
-        d_fused = (e[:, :, None] * d_fb[:, None, :]).reshape(fused.shape)
+        d_fused = (e.astype(dtype, copy=False)[:, :, None] * d_fb[:, None, :]).reshape(fused.shape)
 
     # in-bag softmax over raw scores (full Jacobian)
-    d_raw = (e * (d_norm - (d_norm * e).sum(axis=1, keepdims=True))).reshape(-1)
+    d_raw = (e * (d_norm - (d_norm * e).sum(axis=1, keepdims=True))).reshape(-1).astype(dtype, copy=False)
 
     # scorer: raw = wh relu(ws f + bs) + bh
     grads["wh"] = (d_raw @ fwd.score_hidden)[None, :]

@@ -4,8 +4,8 @@ normalization, score-weighted bag pooling, and a two-way bag event classifier.
 
 Parameters live in a flat name -> float64 ndarray mapping so that the
 optimizer, checkpoints, and the finite-difference oracle can treat them
-uniformly.  Weight matrices are (out, in); a batch X of shape (N, in) is
-transformed as X @ W.T + b.
+uniformly; training runs the forward on a float32 copy.  Weight matrices are
+(out, in); a batch X of shape (N, in) is transformed as X @ W.T + b.
 """
 
 from __future__ import annotations
@@ -80,9 +80,6 @@ class ModelParams:
         out = ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
         out.version = self.version
         return out
-
-    def n_scalars(self) -> int:
-        return sum(t.size for t in self.tensors.values())
 
 
 def _layer_shapes(config: ModelConfig) -> List:
@@ -173,20 +170,6 @@ class BagForward:
     event_prob: float
 
 
-def normalize_scores(raw) -> np.ndarray:
-    return stable_softmax(np.asarray(raw, dtype=np.float64))
-
-
-def bag_feature(norm: np.ndarray, fused: np.ndarray) -> np.ndarray:
-    norm = np.asarray(norm, dtype=np.float64)
-    fused = np.asarray(fused, dtype=np.float64)
-    if norm.shape[0] != fused.shape[0]:
-        raise ShapeError(f"{norm.shape[0]} weights for {fused.shape[0]} fused features")
-    if abs(norm.sum() - 1.0) > 1e-6:
-        raise ShapeError("normalized scores must sum to 1")
-    return norm @ fused
-
-
 def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """relu(x @ w.T + b), with the bias and the relu applied in place on the
     matmul output: the same operations in the same order as the expression,
@@ -206,15 +189,16 @@ def forward_stacked(
     """The network over B bags of N instances, stacked as (B, N, width).
 
     The per-instance layers (vision projection, k-branch fusion, scorer) run
-    once over all B*N rows; the in-bag softmax, score-weighted pooling and bag
-    classifier run per bag.  ``head=False`` skips pooling and the classifier
-    for callers that read no event probability.
+    once over all B*N rows, in the dtype of ``params``; the in-bag softmax,
+    score-weighted pooling and bag classifier run per bag in float64.
+    ``head=False`` skips pooling and the classifier for callers that read no
+    event probability.
     """
     ablation.validate()
     cfg = params.config
     t = params.tensors
-    v = np.asarray(vision, dtype=np.float64)
-    a = np.asarray(audio, dtype=np.float64)
+    v = np.asarray(vision, dtype=t["ws"].dtype)
+    a = np.asarray(audio, dtype=t["ws"].dtype)
     if v.ndim != 3 or v.shape[2] != cfg.dv:
         raise ShapeError(f"vision has shape {v.shape}, expected (B, N, {cfg.dv})")
     if a.shape != v.shape[:2] + (cfg.da,):

@@ -122,16 +122,18 @@ def sgd_step(
     lr: float,
     config: TrainingConfig,
 ) -> None:
-    """Classical momentum SGD with coupled weight decay."""
+    """Classical momentum SGD with coupled weight decay, in the dtype of
+    ``params`` whatever the dtype of ``grads``, with one temporary per tensor."""
     for name, theta in params.tensors.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for {name} at step {state.step}")
-        g = g + config.weight_decay * theta
+        step = np.multiply(theta, config.weight_decay)
+        step += g
         v = state.velocity[name]
         v *= config.momentum
-        v += g
-        theta -= lr * v
+        v += step
+        theta -= np.multiply(v, lr, out=step)
     state.step += 1
     params.bump_version()
 
@@ -162,7 +164,8 @@ def train_event(
     order); every step pairs a bag from that positive video with a bag from a
     uniformly chosen negative video.  Fully deterministic in the seed; all
     randomness flows through derived streams so the run can be resumed from a
-    checkpoint bit-exactly.
+    checkpoint bit-exactly.  Forward and backward run on a float32 mirror of
+    the float64 parameters, refreshed after every float64 SGD step.
     """
     config.validate()
     positives, negatives = datamod.split_videos(index, interest_event, config.tau)
@@ -191,6 +194,8 @@ def train_event(
             cache[ref.video_id] = datamod.load_video(ref, expect_dims=expect_dims)
         return cache[ref.video_id]
 
+    mirror = ModelParams(params.config, {k: v.astype(np.float32) for k, v in params.tensors.items()})
+    mirror.version = params.version
     ablation = config.ablation
     log: List[dict] = []
     log_lines: List[str] = []
@@ -210,7 +215,7 @@ def train_event(
             fwd = forward_stacked(
                 np.stack([b.vision for b in bags]),
                 np.stack([b.audio for b in bags]),
-                params,
+                mirror,
                 ablation,
                 head=not config.no_bcm,
             )
@@ -218,9 +223,12 @@ def train_event(
             if not np.isfinite(lb.total):
                 raise NumericError(f"non-finite loss at epoch {epoch}, step {state.step}")
             grads = backward(
-                fwd, params, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm
+                fwd, mirror, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm
             )
             sgd_step(params, grads, state, lr, config)
+            for name, theta in params.tensors.items():
+                np.copyto(mirror.tensors[name], theta)
+            mirror.version = params.version
             sums += (lb.mm, lb.bce_pos, lb.bce_neg)
             n_steps += 1
         state.epoch = epoch + 1

@@ -129,6 +129,21 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--events", "0"),
+            ("--highlight-fraction", "2"),
+            ("--tau", "-5"),
+            ("--tau", "nan"),
+            ("--noise-sigma", "nan"),
+        ],
+    )
+    def test_synth_bad_argument_is_usage_error(self, tmp_path, capsys, flag, value):
+        assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", flag, value]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
         "line",
         ["lr0 = nan", "lr0 = inf", "eps = nan", "tau = -5", "momentum = 7", "weight_decay = -1"],
     )

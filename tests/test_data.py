@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 
 import numpy as np
 import pytest
@@ -372,6 +373,38 @@ class TestSynthetic:
             gen_synthetic(dataclasses.replace(self.SPEC, noise_sigma=0.0), tmp_path)
         with pytest.raises(DataError):
             gen_synthetic(dataclasses.replace(self.SPEC, highlight_fraction=0.01), tmp_path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("tau", -5.0),
+            ("tau", 0.0),
+            ("tau", float("nan")),
+            ("tau", float("inf")),
+            ("tau", 1e308),  # its longest durations, 1.95 tau, overflow
+            ("noise_sigma", float("nan")),
+            ("noise_sigma", float("inf")),
+            ("highlight_fraction", float("nan")),
+            ("highlight_fraction", float("inf")),
+        ],
+    )
+    def test_nonfinite_or_nonpositive_rejected(self, tmp_path, field, value):
+        import dataclasses
+
+        with pytest.raises(DataError, match=field):
+            gen_synthetic(dataclasses.replace(self.SPEC, **{field: value}), tmp_path)
+        assert not (tmp_path / "features").exists()
+
+    def test_label_files_bytes_and_no_temporaries(self, tmp_path):
+        gen_synthetic(self.SPEC, tmp_path)
+        files = sorted((tmp_path / "labels").iterdir())
+        assert [p.name for p in files] == [f"ev{e:02d}_{v:03d}.txt" for e in range(3) for v in range(6)]
+        digest = hashlib.sha256()
+        for p in files:
+            digest.update(p.name.encode("utf-8"))
+            digest.update(p.read_bytes())
+        # the bytes the generator has always written for this spec
+        assert digest.hexdigest() == "2767a47bdb569f325bead44c1a7fceac5d4d53d409bbe73441e8f8140be0953c"
 
 
 class HalfWrite:

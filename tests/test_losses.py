@@ -15,7 +15,7 @@ from milrank.losses import (
     total_loss,
     variant_ranking_loss,
 )
-from milrank.model import Ablation, forward_stacked
+from milrank.model import Ablation, ModelConfig, ModelParams, forward_stacked, init_params
 
 
 class TestMMRankingLoss:
@@ -214,3 +214,40 @@ class TestBackward:
     def test_matches_finite_differences_ablations(self, ablation, ablate_mm, ablate_bcm):
         err, _ = check_case(CheckCase("max-max", ablation, ablate_mm, ablate_bcm), seed=42)
         assert err < 1e-4
+
+
+class TestFloat32Backward:
+    """Training runs forward and backward on a float32 copy of the float64
+    parameters; its gradient must agree with the float64 one."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        params = init_params(ModelConfig(), 3)
+        mirror = ModelParams(params.config, {k: v.astype(np.float32) for k, v in params.tensors.items()})
+        rng = np.random.default_rng(0)
+        # a 2-pair stack of 60-instance bags, the training step's shape
+        vision = rng.standard_normal((4, 60, params.config.dv)).astype(np.float32)
+        audio = rng.standard_normal((4, 60, params.config.da)).astype(np.float32)
+        return params, mirror, vision, audio
+
+    @pytest.mark.parametrize("ablation", [Ablation(), Ablation(no_audio=True), Ablation(no_vision=True)])
+    @pytest.mark.parametrize("ablate_mm,ablate_bcm", [(False, False), (True, False), (False, True)])
+    def test_matches_float64_gradient(self, setup, ablation, ablate_mm, ablate_bcm):
+        params, mirror, vision, audio = setup
+        grads = {}
+        for p in (params, mirror):
+            fwd = forward_stacked(vision, audio, p, ablation, head=not ablate_bcm)
+            grads[p] = backward(fwd, p, 1.0, "max-max", ablate_mm, ablate_bcm)
+        g64, g32 = grads[params], grads[mirror]
+        assert g32.keys() == g64.keys()
+        for name in g64:
+            if not name.startswith(("wc", "bc")):  # outside the bag classifier
+                assert g32[name].dtype == np.float32, name
+            diff = float(np.max(np.abs(g32[name].astype(np.float64) - g64[name])))
+            if name == "bh":
+                # raw scores enter the loss only through the shift-invariant
+                # in-bag softmax, so the exact bias gradient is zero
+                assert diff <= 1e-6 and float(np.max(np.abs(g64[name]))) <= 1e-12
+                continue
+            scale = float(np.max(np.abs(g64[name])))
+            assert diff <= 1e-5 * scale, (name, diff, scale)

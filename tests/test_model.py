@@ -10,13 +10,13 @@ from milrank.model import (
     SCORE_BLOCK_ROWS,
     Ablation,
     ModelConfig,
-    bag_feature,
+    ModelParams,
     forward_bag,
     forward_stacked,
     init_params,
-    normalize_scores,
     score_video,
 )
+from milrank.numkit import stable_softmax
 
 
 def zeroed(params):
@@ -152,38 +152,59 @@ class TestScoring:
         assert np.array_equal(fwd.raw_scores[0], [6.0, 0.0])
 
     def test_normalize_uniform(self):
-        out = normalize_scores(np.full(60, 0.7))
+        out = stable_softmax(np.full(60, 0.7))
         assert np.allclose(out, 1.0 / 60.0)
 
     def test_normalize_single(self):
-        assert np.allclose(normalize_scores([3.0]), [1.0])
+        assert np.allclose(stable_softmax([3.0]), [1.0])
 
     def test_normalize_hand(self):
-        assert np.allclose(normalize_scores([0.0, np.log(3.0)]), [0.25, 0.75])
+        assert np.allclose(stable_softmax([0.0, np.log(3.0)]), [0.25, 0.75])
 
     def test_normalize_shift_invariant(self, rng):
         raw = rng.standard_normal(10)
-        assert np.allclose(normalize_scores(raw), normalize_scores(raw + 17.3), atol=1e-6)
+        assert np.allclose(stable_softmax(raw), stable_softmax(raw + 17.3), atol=1e-6)
+
+
+def pooled(fused, raw):
+    """``forward_stacked(...).bag_feature`` of one bag whose fused rows and
+    raw scores are given.  With vision ablated and zero fusion branches the
+    fused rows are the audio rows; the audio carries one extra last column,
+    which the scorer reads as the raw score (shifted to be nonnegative, which
+    the in-bag softmax ignores).  Returns the pooled feature without that
+    column."""
+    fused = np.asarray(fused, dtype=np.float64)
+    raw = np.asarray(raw, dtype=np.float64)
+    width = fused.shape[1] + 1
+    cfg = ModelConfig(dv=1, da=width, hv=1, hf=1, ds=1, hc=1, k=1)
+    params = zero_branches(init_params(cfg, 0))
+    params.tensors["ws"] = np.eye(1, width, width - 1)
+    params.tensors["wh"] = np.ones((1, 1))
+    audio = np.concatenate([fused, (raw - raw.min())[:, None]], axis=1)
+    fwd = stacked(params, np.zeros((len(audio), 1)), audio, Ablation(no_vision=True))
+    return fwd.bag_feature[0, :-1]
 
 
 class TestBagFeature:
     def test_one_hot_selects(self, rng):
         fused = rng.standard_normal((4, 6))
-        norm = np.array([0.0, 0.0, 1.0, 0.0])
-        assert np.array_equal(bag_feature(norm, fused), fused[2])
+        # exp(-1000) is 0.0 in float64, so the weights are exactly one-hot
+        assert np.array_equal(pooled(fused, [0.0, 0.0, 1000.0, 0.0]), fused[2])
 
     def test_uniform_is_mean(self, rng):
         fused = rng.standard_normal((5, 6))
-        out = bag_feature(np.full(5, 0.2), fused)
+        out = pooled(fused, np.zeros(5))
         assert np.allclose(out, fused.mean(axis=0))
 
     def test_hand_weighted_sum(self):
         fused = np.array([[4.0, 0.0], [0.0, 4.0]])
-        assert np.allclose(bag_feature(np.array([0.25, 0.75]), fused), [1.0, 3.0])
+        assert np.allclose(pooled(fused, [0.0, np.log(3.0)]), [1.0, 3.0])
 
-    def test_length_mismatch(self):
+    def test_length_mismatch(self, toy_params):
+        # one softmax weight per fused row: the bag's vision and audio rows
+        # must agree in number
         with pytest.raises(ShapeError):
-            bag_feature(np.array([1.0]), np.zeros((2, 3)))
+            forward_stacked(np.zeros((1, 2, TOY.dv)), np.zeros((1, 3, TOY.da)), toy_params)
 
 
 class TestClassifier:
@@ -238,7 +259,39 @@ class TestStackedForward:
         )
         assert np.allclose(fwd.norm_scores.sum(axis=1), 1.0, atol=1e-12)
         for i in range(3):
-            assert np.allclose(fwd.norm_scores[i], normalize_scores(fwd.raw_scores[i]), atol=1e-15)
+            assert np.allclose(fwd.norm_scores[i], stable_softmax(fwd.raw_scores[i]), atol=1e-15)
+
+
+class TestComputeDtype:
+    """The forward computes in the dtype of the parameters it is given."""
+
+    def inputs(self):
+        rng = np.random.default_rng(5)
+        return rng.standard_normal((2, 3, TOY.dv)), rng.standard_normal((2, 3, TOY.da))
+
+    def test_float64_path_unchanged(self, toy_params):
+        fwd = forward_stacked(*self.inputs(), toy_params)
+        caches = [fwd.fused, fwd.vision, fwd.proj_hidden, fwd.cat, fwd.score_hidden, fwd.cls_hidden]
+        caches += fwd.branch_z1 + fwd.branch_z2
+        assert all(c.dtype == np.float64 for c in caches)
+        # the scores this network has always given for these inputs
+        expected = [
+            [2.5235433246027665, 1.9401628034177842, 2.4623824742139293],
+            [3.886351838412597, 1.4425338309551385, 1.9263667736477366],
+        ]
+        assert fwd.raw_scores.dtype == np.float64
+        assert np.array_equal(fwd.raw_scores, np.array(expected))
+
+    def test_float32_params_compute_in_float32(self, toy_params):
+        mirror = ModelParams(TOY, {k: v.astype(np.float32) for k, v in toy_params.tensors.items()})
+        fwd = forward_stacked(*self.inputs(), mirror)
+        per_row = [fwd.fused, fwd.vision, fwd.proj_hidden, fwd.cat, fwd.score_hidden, fwd.raw_scores]
+        assert all(c.dtype == np.float32 for c in per_row + fwd.branch_z1 + fwd.branch_z2)
+        # the in-bag softmax and the bag head stay float64
+        assert fwd.norm_scores.dtype == fwd.bag_feature.dtype == fwd.event_prob.dtype == np.float64
+        ref = forward_stacked(*self.inputs(), toy_params)
+        assert np.allclose(fwd.raw_scores, ref.raw_scores, rtol=1e-5, atol=0)
+        assert np.allclose(fwd.event_prob, ref.event_prob, rtol=1e-5, atol=0)
 
 
 class TestForwardBag:
@@ -312,7 +365,7 @@ class TestScoreVideo:
     def test_raw_ranking_matches_softmax_ranking(self, toy_params, rng):
         video = self.make_video(rng, n=9)
         raw = score_video(video, toy_params)
-        assert np.array_equal(np.argsort(raw), np.argsort(normalize_scores(raw)))
+        assert np.array_equal(np.argsort(raw), np.argsort(stable_softmax(raw)))
 
     def test_empty_video_rejected(self, toy_params):
         video = VideoRecord("v", "e", 0.0, np.zeros((0, TOY.dv)), np.zeros((0, TOY.da)))

@@ -112,6 +112,18 @@ class TestSgdStep:
         with pytest.raises(NumericError, match="w"):
             sgd_step(params, {"w": np.array([np.nan])}, state, 0.1, TrainingConfig())
 
+    def test_float32_gradient_updates_float64_master(self, rng):
+        cfg = TrainingConfig(momentum=0.9, weight_decay=0.0005)
+        theta, v = rng.standard_normal(7), rng.standard_normal(7)
+        g = rng.standard_normal(7).astype(np.float32)
+        params = FlatParams({"w": theta.copy()})
+        state = OptimizerState(velocity={"w": v.copy()})
+        sgd_step(params, {"w": g}, state, lr=0.1, config=cfg)
+        v_ref = 0.9 * v + (g.astype(np.float64) + 0.0005 * theta)
+        assert params.tensors["w"].dtype == state.velocity["w"].dtype == np.float64
+        assert np.array_equal(state.velocity["w"], v_ref)
+        assert np.array_equal(params.tensors["w"], theta - 0.1 * v_ref)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -199,6 +211,33 @@ class TestTrainEvent:
             assert np.allclose(
                 straight.tensors[name], resumed.tensors[name], atol=1e-12
             ), name
+
+    def test_outputs_stay_float64(self, toy_index, tmp_path):
+        params, _ = train_event(toy_index, "ev00", TOY_TRAIN, checkpoint_path=tmp_path / "c.mnck")
+        assert all(t.dtype == np.float64 for t in params.tensors.values())
+        ckpt = load_checkpoint(tmp_path / "c.mnck")
+        for group in (ckpt.params.tensors, ckpt.state.velocity):
+            assert all(t.dtype == np.float64 for t in group.values())
+        for name, t in params.tensors.items():
+            assert np.array_equal(ckpt.params.tensors[name], t), name
+
+    def test_float32_mirror_refreshed(self, toy_index, monkeypatch):
+        import milrank.train as trainmod
+
+        seen, forward = [], trainmod.forward_stacked
+
+        def spy(vision, audio, params, *args, **kwargs):
+            seen.append(params)
+            return forward(vision, audio, params, *args, **kwargs)
+
+        monkeypatch.setattr(trainmod, "forward_stacked", spy)
+        params, _ = train_event(toy_index, "ev00", TOY_TRAIN)
+        mirror = seen[-1]
+        assert all(p is mirror for p in seen)  # allocated once
+        assert mirror.version == params.version
+        for name, t in params.tensors.items():
+            assert mirror.tensors[name].dtype == np.float32, name
+            assert np.array_equal(mirror.tensors[name], t.astype(np.float32)), name
 
     def test_resume_config_mismatch(self, toy_index, tmp_path):
         ckpt_path = tmp_path / "c.mnck"
