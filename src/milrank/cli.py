@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional, get_type_hints
@@ -31,6 +32,9 @@ EXIT_USAGE = 2
 # the echoed `config.txt` all come from this one table.
 _SCHEMA = {key: typ for key, typ in get_type_hints(TrainingConfig).items() if key != "model"}
 _SCHEMA["model.k"] = get_type_hints(ModelConfig)["k"]
+
+# Environment variables that set the thread count of the common BLAS builds.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parse_config_file(path: Path) -> dict:
@@ -98,16 +102,100 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, dest=key, type=typ)
 
 
+def _train_one(index, event: str, config: TrainingConfig, out_dir: Path) -> Path:
+    ckpt_path = out_dir / f"{event}.mnck"
+    train_event(index, event, config, out_dir=out_dir, checkpoint_path=ckpt_path)
+    return ckpt_path
+
+
+def _blas_thread_count():
+    """(get, set) C functions of the OpenBLAS that numpy links, or None."""
+    import ctypes
+
+    import numpy as np
+
+    try:
+        umath = np._core._multiarray_umath
+    except AttributeError:  # numpy < 2
+        umath = np.core._multiarray_umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _train_parallel(index, events: List[str], config: TrainingConfig, out_dir: Path, jobs: int) -> bool:
+    """Train ``events`` over ``jobs`` processes and print their lines in
+    order; False, with nothing done, when it cannot run in parallel.
+
+    The parent trains ``events[0::jobs]`` itself; the other events go, in
+    command-line order, to ``jobs - 1`` forked workers.  Every process holds
+    one BLAS thread: forked processes that each keep the default count
+    oversubscribe the cores and train many times slower.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    blas = _blas_thread_count()
+    pinned = all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
+    if "fork" not in multiprocessing.get_all_start_methods() or (blas is None and not pinned):
+        return False
+    previous = None
+    if blas is not None:
+        previous = blas[0]()
+        blas[1](1)
+    try:
+        pool = ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork"))
+        try:
+            futures = {event: pool.submit(_train_one, index, event, config, out_dir)
+                       for i, event in enumerate(events) if i % jobs}
+            for i, event in enumerate(events):
+                if i % jobs == 0:
+                    ckpt_path = _train_one(index, event, config, out_dir)
+                else:
+                    try:
+                        ckpt_path = futures[event].result()
+                    except BrokenProcessPool:
+                        lost = [e for e in events[i:] if e in futures
+                                and isinstance(futures[e].exception(), BrokenProcessPool)]
+                        raise MilrankError(
+                            f"a training worker process died; events not trained: {', '.join(lost)}"
+                        ) from None
+                print(f"trained\t{event}\t{ckpt_path}")
+        finally:
+            pool.shutdown(cancel_futures=True)
+    finally:
+        if blas is not None:
+            blas[1](previous)
+    return True
+
+
 def cmd_train(args) -> int:
+    events = args.event
+    repeated = sorted({event for event in events if events.count(event) > 1})
+    if repeated:
+        raise ConfigError(f"--event given more than once: {', '.join(repeated)}")
     config = _build_training_config(args)
     index = datamod.read_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
-    for event in args.event:
-        ckpt_path = out_dir / f"{event}.mnck"
-        train_event(index, event, config, out_dir=out_dir, checkpoint_path=ckpt_path)
-        print(f"trained\t{event}\t{ckpt_path}")
+    # one process per usable CPU; `taskset` limits it
+    jobs = min(len(events), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    if jobs > 1 and _train_parallel(index, events, config, out_dir, jobs):
+        return EXIT_OK
+    for event in events:
+        print(f"trained\t{event}\t{_train_one(index, event, config, out_dir)}")
     return EXIT_OK
 
 

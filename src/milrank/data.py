@@ -128,8 +128,9 @@ def write_feature_file(
     audio: np.ndarray,
     expect_dims: Optional[Tuple[int, int]] = DEFAULT_DIMS,
 ) -> None:
-    vision = np.asarray(vision, dtype=np.float32)
-    audio = np.asarray(audio, dtype=np.float32)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        vision = np.asarray(vision, dtype=np.float32)
+        audio = np.asarray(audio, dtype=np.float32)
     if vision.ndim != 2 or audio.ndim != 2:
         raise FormatError("feature arrays must be 2-d")
     if vision.shape[0] != audio.shape[0]:
@@ -142,6 +143,9 @@ def write_feature_file(
     dims = (vision.shape[1], audio.shape[1])
     if expect_dims is not None and dims != tuple(expect_dims):
         raise FormatError(f"feature dims {dims} do not match expected {tuple(expect_dims)}")
+    # the reader refuses these, so the writer does too
+    if not (np.all(np.isfinite(vision)) and np.all(np.isfinite(audio))):
+        raise FormatError(f"{path}: non-finite feature values (after the float32 cast)")
     write_atomic(
         path,
         MNF1_MAGIC,

@@ -1,6 +1,8 @@
 import os
+import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 import milrank
 from milrank.cli import main
 from milrank.data import read_manifest, write_feature_file
-from milrank.train import load_checkpoint
+from milrank.errors import ConfigError
+from milrank.train import TrainingConfig, load_checkpoint, train_event
 
 SYNTH_ARGS = [
     "synth",
@@ -48,6 +51,14 @@ CONFIG_KEYS = [
     ("seed", "--seed", "7"),
     ("model.k", "--k", "2"),
 ]
+
+
+def child_env() -> dict:
+    """Environment for a child Python that imports the package under test,
+    installed or not."""
+    src = str(Path(milrank.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +153,16 @@ class TestExitCodes:
         assert main(["synth", "--out", str(tmp_path / "d"), "--seed", "1", flag, value]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_synth_float32_overflow_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        args = SYNTH_ARGS + ["--out", str(out), "--noise-sigma", "1e40"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert main(args) == 1
+        captured = capsys.readouterr()
+        assert "non-finite" in captured.err and "Traceback" not in captured.err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize(
         "line",
@@ -425,13 +446,218 @@ class TestGradcheckCommand:
 class TestSubprocessEntry:
     def test_module_invocation_deterministic_bytes(self, tmp_path):
         cmd = [sys.executable, "-m", "milrank.cli"] + SYNTH_ARGS
-        # the child imports the package under test, installed or not
-        src = str(Path(milrank.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        env = child_env()
         r1 = subprocess.run(cmd + ["--out", str(tmp_path / "a")], capture_output=True, text=True, env=env)
         r2 = subprocess.run(cmd + ["--out", str(tmp_path / "b")], capture_output=True, text=True, env=env)
         assert r1.returncode == 0 and r2.returncode == 0
         assert r1.stdout.replace(str(tmp_path / "a"), "X") == r2.stdout.replace(
             str(tmp_path / "b"), "X"
         )
+
+
+@pytest.fixture(scope="module")
+def dataset4(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-data4")
+    args = SYNTH_ARGS + ["--out", str(out)]
+    args[args.index("--events") + 1] = "4"
+    assert main(args) == 0
+    return out
+
+
+def train_args(dataset, out, events):
+    args = ["train", "--manifest", str(dataset / "manifest.tsv"), "--out", str(out)] + TRAIN_ARGS
+    for event in events:
+        args += ["--event", event]
+    return args
+
+
+def record_pids(monkeypatch, log):
+    """Wrap `train_event` so every process that trains appends its pid."""
+    real = milrank.cli.train_event
+
+    def traced(index, event, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\t{event}\n")
+        return real(index, event, *args, **kwargs)
+
+    monkeypatch.setattr(milrank.cli, "train_event", traced)
+
+
+def trainers(log):
+    return dict(line.split("\t")[::-1] for line in log.read_text().splitlines())
+
+
+def usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestParallelTrain:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """Fail, rather than hang, when a parallel run does not finish."""
+
+        def expire(signum, frame):
+            raise TimeoutError("training did not finish within 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_three_events_match_serial(self, dataset4, tmp_path, capsys, monkeypatch):
+        log = tmp_path / "pids"
+        record_pids(monkeypatch, log)
+        usable_cpus(monkeypatch, 2)
+        events = ["ev02", "ev00", "ev01"]
+        assert main(train_args(dataset4, tmp_path / "par", events)) == 0
+        par_out = capsys.readouterr().out
+        by_event = trainers(log)
+        # the parent trains the first and third event, a forked worker the second
+        assert by_event["ev02"] == by_event["ev01"] == str(os.getpid()) != by_event["ev00"]
+
+        ref = tmp_path / "ref"
+        config = TrainingConfig(epochs=2, bag_size=4, seed=5)
+        index = read_manifest(dataset4 / "manifest.tsv")
+        for event in events:
+            train_event(index, event, config, out_dir=ref, checkpoint_path=ref / f"{event}.mnck")
+        usable_cpus(monkeypatch, 1)
+        assert main(train_args(dataset4, tmp_path / "ser", events)) == 0
+        ser_out = capsys.readouterr().out
+        assert par_out.replace(str(tmp_path / "par"), "X") == ser_out.replace(str(tmp_path / "ser"), "X")
+        assert par_out.splitlines() == [f"trained\t{e}\t{tmp_path / 'par' / e}.mnck" for e in events]
+        assert (tmp_path / "par" / "config.txt").read_bytes() == (tmp_path / "ser" / "config.txt").read_bytes()
+        names = sorted(p.name for p in (tmp_path / "par").iterdir())
+        assert names == sorted(["config.txt"] + [f"{e}.{x}" for e in events for x in ("mnck", "train.log")])
+        for name in names[1:]:
+            assert (tmp_path / "par" / name).read_bytes() == (ref / name).read_bytes(), name
+
+    @pytest.mark.parametrize("events,missing", [
+        (["ev00", "evXX", "ev01"], "evXX"),  # a worker's event
+        (["evXX", "ev00"], "evXX"),  # the parent's own
+        (["ev00", "evXX", "evYY"], "evXX"),  # the first in command-line order
+    ])
+    def test_missing_event(self, dataset4, tmp_path, capsys, monkeypatch, events, missing):
+        usable_cpus(monkeypatch, 2)
+        assert main(train_args(dataset4, tmp_path / "o", events)) == 1
+        captured = capsys.readouterr()
+        assert f"'{missing}'" in captured.err and "Traceback" not in captured.err
+        done = events[: events.index(missing)]
+        assert captured.out.splitlines() == [f"trained\t{e}\t{tmp_path / 'o' / e}.mnck" for e in done]
+
+    def test_worker_config_error_exits_2(self, dataset4, tmp_path, capsys, monkeypatch):
+        parent = os.getpid()
+        real = milrank.cli.train_event
+
+        def fail_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ConfigError("rejected in the worker")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(milrank.cli, "train_event", fail_in_worker)
+        usable_cpus(monkeypatch, 2)
+        assert main(train_args(dataset4, tmp_path / "o", ["ev00", "ev01"])) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: rejected in the worker" in captured.err
+        assert captured.out.splitlines() == [f"trained\tev00\t{tmp_path / 'o' / 'ev00'}.mnck"]
+
+    def test_dead_worker_is_typed_error(self, dataset4, tmp_path):
+        script = (
+            "import os, sys\n"
+            "import milrank.cli as cli\n"
+            "parent, real = os.getpid(), cli.train_event\n"
+            "def train_event(*args, **kwargs):\n"
+            "    if os.getpid() != parent:\n"
+            "        os._exit(3)\n"
+            "    return real(*args, **kwargs)\n"
+            "cli.train_event = train_event\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        args = train_args(dataset4, tmp_path / "o", ["ev00", "ev01", "ev02", "ev03"])
+        proc = subprocess.run([sys.executable, "-c", script] + args, capture_output=True, text=True,
+                              env=child_env(), timeout=300)
+        assert proc.returncode == 1
+        assert "worker process died" in proc.stderr and "ev01, ev03" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == [f"trained\tev00\t{tmp_path / 'o' / 'ev00'}.mnck"]
+
+    def test_blas_threads_restored(self, dataset4, tmp_path, capsys, monkeypatch):
+        blas = milrank.cli._blas_thread_count()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread setter in this numpy")
+        get, set_ = blas
+        original = get()
+        set_(2)  # not 1, so a count left pinned would show
+        before = get()
+        during = []
+        real = milrank.cli.train_event
+
+        def traced(*args, **kwargs):
+            during.append(get())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(milrank.cli, "train_event", traced)
+        usable_cpus(monkeypatch, 2)
+        try:
+            assert main(train_args(dataset4, tmp_path / "o", ["ev00", "ev01"])) == 0
+            after = get()
+        finally:
+            set_(original)
+        capsys.readouterr()
+        assert during == [1]  # the parent's own event
+        assert after == before
+
+    @pytest.mark.parametrize("openblas_threads,processes", [("1", 2), ("2", 1), (None, 1)])
+    def test_without_thread_setter(self, dataset4, tmp_path, capsys, monkeypatch, openblas_threads, processes):
+        """Without a setter, only thread variables all at 1 allow parallel training."""
+        log = tmp_path / "pids"
+        record_pids(monkeypatch, log)
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(milrank.cli, "_blas_thread_count", lambda: None)
+        for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        if openblas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", openblas_threads)
+        assert main(train_args(dataset4, tmp_path / "o", ["ev00", "ev01"])) == 0
+        capsys.readouterr()
+        assert len(set(trainers(log).values())) == processes
+
+    @pytest.mark.parametrize("cpus,events", [(1, ["ev00", "ev01"]), (2, ["ev00"])])
+    def test_in_process_when_one_job(self, dataset4, tmp_path, capsys, monkeypatch, cpus, events):
+        usable_cpus(monkeypatch, cpus)
+
+        def forbidden(*args):
+            raise AssertionError("parallel path taken")
+
+        monkeypatch.setattr(milrank.cli, "_train_parallel", forbidden)
+        assert main(train_args(dataset4, tmp_path / "o", events)) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(events)
+
+    def test_repeated_event_is_usage_error(self, dataset4, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(train_args(dataset4, out, ["ev00", "ev01", "ev00"])) == 2
+        captured = capsys.readouterr()
+        assert "ev00" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_default_blas_threads_subprocess(self, dataset4, tmp_path, capsys, monkeypatch):
+        """`python -m milrank.cli train` with the BLAS thread variables unset
+        (the default thread count) finishes and writes the serial bytes."""
+        env = child_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        events = ["ev00", "ev01"]
+        proc = subprocess.run([sys.executable, "-m", "milrank.cli"] + train_args(dataset4, tmp_path / "par", events),
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        usable_cpus(monkeypatch, 1)
+        assert main(train_args(dataset4, tmp_path / "ser", events)) == 0
+        ser_out = capsys.readouterr().out
+        assert proc.stdout.replace(str(tmp_path / "par"), "X") == ser_out.replace(str(tmp_path / "ser"), "X")
+        for name in ("config.txt", "ev00.mnck", "ev00.train.log", "ev01.mnck", "ev01.train.log"):
+            assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "ser" / name).read_bytes(), name

@@ -1,5 +1,7 @@
 import builtins
 import hashlib
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -93,12 +95,42 @@ class TestFeatureFile:
             write_feature_file(tmp_path / "r.mnf", np.zeros((2, 512)), np.zeros((3, 128)))
 
     def test_nonfinite_rejected_on_read(self, tmp_path):
+        # the writer refuses non-finite values, so the file is built by hand
         path = tmp_path / "n.mnf"
-        vision = np.zeros((1, 512), dtype=np.float32)
+        vision = np.zeros((1, 512), dtype="<f4")
         vision[0, 0] = np.nan
-        write_feature_file(path, vision, np.zeros((1, 128)))
+        header = b"MNF1" + struct.pack("<III", 1, 512, 128)
+        path.write_bytes(header + vision.tobytes() + np.zeros((1, 128), dtype="<f4").tobytes())
         with pytest.raises(FormatError, match="finite"):
             read_feature_file(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e40, -1e39])
+    @pytest.mark.parametrize("modality", ["vision", "audio"])
+    def test_nonfinite_rejected_on_write(self, tmp_path, value, modality):
+        arrays = {"vision": np.zeros((2, 8)), "audio": np.zeros((2, 4))}
+        arrays[modality][1, 2] = value
+        path = tmp_path / "n.mnf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(FormatError, match="non-finite"):
+                write_feature_file(path, arrays["vision"], arrays["audio"], expect_dims=None)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nonfinite_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "n.mnf"
+        write_feature_file(path, np.ones((2, 8)), np.ones((2, 4)), expect_dims=None)
+        old = path.read_bytes()
+        with pytest.raises(FormatError):
+            write_feature_file(path, np.full((2, 8), 1e40), np.ones((2, 4)), expect_dims=None)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["n.mnf"]
+
+    def test_float32_max_is_written(self, tmp_path):
+        path = tmp_path / "m.mnf"
+        big = np.finfo(np.float32).max
+        write_feature_file(path, np.full((1, 8), big), np.full((1, 4), -big), expect_dims=None)
+        vision, audio = read_feature_file(path, expect_dims=None)
+        assert np.all(vision == big) and np.all(audio == -big)
 
     @given(
         n=st.integers(min_value=1, max_value=8),
