@@ -9,6 +9,8 @@ configuration is echoed into the output directory.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import os
 import sys
@@ -39,7 +41,11 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 def _parse_config_file(path: Path) -> dict:
     values = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -133,51 +139,48 @@ def _blas_thread_count():
     return None
 
 
-def _train_parallel(index, events: List[str], config: TrainingConfig, out_dir: Path, jobs: int) -> bool:
-    """Train ``events`` over ``jobs`` processes and print their lines in
-    order; False, with nothing done, when it cannot run in parallel.
+def _train_events(index, events: List[str], config: TrainingConfig, out_dir: Path, jobs: int) -> None:
+    """Train ``events`` over up to ``jobs`` processes and print their lines in
+    command-line order.
 
-    The parent trains ``events[0::jobs]`` itself; the other events go, in
-    command-line order, to ``jobs - 1`` forked workers.  Every process holds
-    one BLAS thread: forked processes that each keep the default count
-    oversubscribe the cores and train many times slower.
+    The parent trains ``events[0::jobs]`` itself, so one job is the serial
+    run; the other events go, in command-line order, to ``jobs - 1`` forked
+    workers.  Every process holds one BLAS thread: forked processes that each
+    keep the default count oversubscribe the cores and train many times
+    slower.  Without ``fork``, or without a way to hold BLAS to one thread,
+    the run takes one job.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    blas = _blas_thread_count()
+    blas = _blas_thread_count() if jobs > 1 else None
     pinned = all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
     if "fork" not in multiprocessing.get_all_start_methods() or (blas is None and not pinned):
-        return False
-    previous = None
-    if blas is not None:
-        previous = blas[0]()
-        blas[1](1)
-    try:
-        pool = ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork"))
-        try:
+        jobs, blas = 1, None
+    with contextlib.ExitStack() as cleanup:
+        if blas is not None:
+            cleanup.callback(blas[1], blas[0]())
+            blas[1](1)
+        futures = {}
+        if jobs > 1:
+            pool = ProcessPoolExecutor(jobs - 1, mp_context=multiprocessing.get_context("fork"))
+            cleanup.callback(pool.shutdown, cancel_futures=True)
             futures = {event: pool.submit(_train_one, index, event, config, out_dir)
                        for i, event in enumerate(events) if i % jobs}
-            for i, event in enumerate(events):
-                if i % jobs == 0:
-                    ckpt_path = _train_one(index, event, config, out_dir)
-                else:
-                    try:
-                        ckpt_path = futures[event].result()
-                    except BrokenProcessPool:
-                        lost = [e for e in events[i:] if e in futures
-                                and isinstance(futures[e].exception(), BrokenProcessPool)]
-                        raise MilrankError(
-                            f"a training worker process died; events not trained: {', '.join(lost)}"
-                        ) from None
-                print(f"trained\t{event}\t{ckpt_path}")
-        finally:
-            pool.shutdown(cancel_futures=True)
-    finally:
-        if blas is not None:
-            blas[1](previous)
-    return True
+        for i, event in enumerate(events):
+            if event not in futures:
+                ckpt_path = _train_one(index, event, config, out_dir)
+            else:
+                try:
+                    ckpt_path = futures[event].result()
+                except BrokenProcessPool:
+                    lost = [e for e in events[i:]
+                            if e not in futures or futures[e].exception() is not None]
+                    raise MilrankError(
+                        f"a training worker process died; events not trained: {', '.join(lost)}"
+                    ) from None
+            print(f"trained\t{event}\t{ckpt_path}")
 
 
 def cmd_train(args) -> int:
@@ -192,10 +195,7 @@ def cmd_train(args) -> int:
     _echo_config(config, out_dir)
     # one process per usable CPU; `taskset` limits it
     jobs = min(len(events), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
-    if jobs > 1 and _train_parallel(index, events, config, out_dir, jobs):
-        return EXIT_OK
-    for event in events:
-        print(f"trained\t{event}\t{_train_one(index, event, config, out_dir)}")
+    _train_events(index, events, config, out_dir, jobs)
     return EXIT_OK
 
 
@@ -243,15 +243,9 @@ def cmd_score(args) -> int:
 def cmd_synth(args) -> int:
     if args.seed is None:
         raise ConfigError("--seed is required (no silent nondeterminism)")
-    spec = datamod.SyntheticSpec(
-        n_events=args.events,
-        videos_per_event=args.videos_per_event,
-        segments_per_video=args.segments_per_video,
-        highlight_fraction=args.highlight_fraction,
-        noise_sigma=args.noise_sigma,
-        seed=args.seed,
-        tau=args.tau,
-    )
+    # only the flags given; `SyntheticSpec` holds the defaults
+    fields = {f.name for f in dataclasses.fields(datamod.SyntheticSpec)}
+    spec = datamod.SyntheticSpec(**{k: v for k, v in vars(args).items() if k in fields and v is not None})
     try:
         spec.validate()
     except DataError as exc:
@@ -264,7 +258,7 @@ def cmd_synth(args) -> int:
 def cmd_gradcheck(args) -> int:
     variants = (args.variant,) if args.variant else VARIANTS
     seeds = range(args.seeds)
-    results = run_gradient_check(seeds=seeds, variants=variants, perturb=args.perturb)
+    results = run_gradient_check(seeds=seeds, variants=variants)
     failing = []
     for label in sorted(results):
         err = results[label]
@@ -305,18 +299,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--events", type=int, default=6)
-    p.add_argument("--videos-per-event", type=int, default=80)
-    p.add_argument("--segments-per-video", type=int, default=60)
-    p.add_argument("--highlight-fraction", type=float, default=0.15)
-    p.add_argument("--noise-sigma", type=float, default=0.1)
-    p.add_argument("--tau", type=float, default=60.0)
+    p.add_argument("--events", dest="n_events", type=int)
+    p.add_argument("--videos-per-event", type=int)
+    p.add_argument("--segments-per-video", type=int)
+    p.add_argument("--highlight-fraction", type=float)
+    p.add_argument("--noise-sigma", type=float)
+    p.add_argument("--tau", type=float)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("gradcheck", help="compare analytic gradients with finite differences")
     p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--perturb", type=float, default=0.0, help="test hook: inflate errors")
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

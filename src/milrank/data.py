@@ -183,13 +183,20 @@ def read_feature_file(
 # Manifests and labels
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_manifest(path) -> DatasetIndex:
     """Parse a TSV manifest; paths are resolved relative to the manifest."""
     path = Path(path)
     base = path.parent
     index = DatasetIndex()
     seen = set()
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -240,7 +247,7 @@ def write_manifest(index: DatasetIndex, path) -> None:
 
 def read_labels(path) -> np.ndarray:
     values = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(Path(path)).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -338,11 +345,28 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> DatasetIndex:
     ``noise_sigma`` regardless of dimensionality.  Within each event, the
     first half of the videos is shorter than tau and the rest longer, so the
     duration split works with any event as the interest event.
+
+    A failed run removes the files and directories it created.  A file that
+    was there before is kept, with the new bytes if the run replaced it.
     """
     spec.validate()
     out_dir = Path(out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    (out_dir / "labels").mkdir(parents=True, exist_ok=True)
+    created: List[Path] = []  # in creation order
+    try:
+        for sub in (out_dir / "features", out_dir / "labels"):
+            created += reversed([d for d in (sub, *sub.parents) if not d.exists()])
+            sub.mkdir(parents=True, exist_ok=True)
+        return _write_synthetic(spec, out_dir, created)
+    except BaseException:
+        for path in reversed(created):
+            if path.is_dir():
+                path.rmdir()
+            else:
+                path.unlink(missing_ok=True)
+        raise
+
+
+def _write_synthetic(spec: SyntheticSpec, out_dir: Path, created: List[Path]) -> DatasetIndex:
     dv, da = spec.feature_dims
     d = dv + da
     rng = np.random.default_rng(spec.seed)
@@ -373,8 +397,12 @@ def gen_synthetic(spec: SyntheticSpec, out_dir) -> DatasetIndex:
                 duration = float(rng.uniform(1.05 * spec.tau, 1.95 * spec.tau))
             fpath = out_dir / "features" / f"{video_id}.mnf"
             lpath = out_dir / "labels" / f"{video_id}.txt"
+            created += [path for path in (fpath, lpath) if not path.exists()]
             write_feature_file(fpath, feats[:, :dv], feats[:, dv:], expect_dims=(dv, da))
             write_atomic(lpath, "".join(f"{x}\n" for x in labels).encode("utf-8"))
             index.records.append(VideoRef(video_id, tag, duration, fpath, lpath))
-    write_manifest(index, out_dir / "manifest.tsv")
+    manifest = out_dir / "manifest.tsv"
+    if not manifest.exists():
+        created.append(manifest)
+    write_manifest(index, manifest)
     return index

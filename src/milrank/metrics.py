@@ -56,32 +56,24 @@ def _ranked_labels(labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
 def average_precision(labels: Sequence[int], scores: Sequence[float]) -> float:
     """Mean of precision-at-rank over the positive ranks; 0 when there are no
     positives."""
-    labels = np.asarray(labels, dtype=np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    ranked = _ranked_labels(labels, scores)
-    n_pos = int(ranked.sum())
-    if n_pos == 0:
-        return 0.0
-    hits = np.cumsum(ranked)
-    prec = hits / np.arange(1, ranked.size + 1)
-    # sequential accumulation in rank order keeps the result bit-identical to
-    # a direct evaluation of the definition
-    return float(sum(prec[ranked == 1]) / n_pos)
+    return ap_at_k(labels, scores, len(labels))
 
 
 def ap_at_k(labels: Sequence[int], scores: Sequence[float], k: int) -> float:
     """AP restricted to the top-k ranks, normalized by min(P, k)."""
-    if k < 1:
-        raise ShapeError("k must be >= 1")
     labels = np.asarray(labels, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     ranked = _ranked_labels(labels, scores)
+    if k < 1:
+        raise ShapeError("k must be >= 1")
     n_pos = int(ranked.sum())
     if n_pos == 0:
         return 0.0
     top = ranked[:k]
     hits = np.cumsum(top)
     prec = hits / np.arange(1, top.size + 1)
+    # sequential accumulation in rank order keeps the result bit-identical to
+    # a direct evaluation of the definition
     return float(sum(prec[top == 1]) / min(n_pos, k))
 
 
@@ -123,27 +115,15 @@ def evaluate_top5_map(
     videos: Sequence[VideoRecord],
     event: str,
     ablation: Ablation = Ablation(),
-    summaries_per_video: Optional[Sequence[Sequence[Sequence[int]]]] = None,
 ) -> EvalReport:
-    """Top-5 AP per video, averaged over videos.
-
-    Without explicit summaries, each video's importance labels are binarized
-    by the top-50% rule.  With ``summaries_per_video`` (one list of binary
-    label sequences per video), the per-video AP is the mean over summaries.
-    """
+    """Top-5 AP per video against its importance labels binarized by the
+    top-50% rule, averaged over videos."""
     report = EvalReport(event=event, metric="top5-mAP")
-    for i, video in enumerate(videos):
+    for video in videos:
         scores = score_video(video, params, ablation)
-        if summaries_per_video is not None:
-            summaries = summaries_per_video[i]
-            if not summaries:
-                raise DataError(f"{video.video_id}: no summaries")
-            aps = [ap_at_k(np.asarray(s, dtype=np.int64), scores, 5) for s in summaries]
-            ap = float(np.mean(aps))
-        else:
-            if video.labels is None:
-                raise DataError(f"{video.video_id}: no importance labels")
-            ap = ap_at_k(binarize_importance(video.labels), scores, 5)
+        if video.labels is None:
+            raise DataError(f"{video.video_id}: no importance labels")
+        ap = ap_at_k(binarize_importance(video.labels), scores, 5)
         report.per_video.append((video.video_id, ap))
     return report
 
@@ -160,25 +140,19 @@ def extract_highlights(
     segments: Sequence[ScoredSegment],
     mode: str,
     k: Optional[int] = None,
-    threshold: Optional[float] = None,
 ) -> Tuple[List[ScoredSegment], bool]:
     """Select highlight segments; returns (selection, clamped_flag).
 
-    top-k mode returns the k highest-scoring segments in temporal order
-    (k clamped to the segment count, setting the flag); threshold mode
-    returns every segment with score >= threshold.
+    The one mode, top-k, returns the k highest-scoring segments in temporal
+    order (k clamped to the segment count, setting the flag).
     """
     if not segments:
         raise ShapeError("no segments to extract from")
-    if mode == "top-k":
-        if k is None or k < 1:
-            raise ShapeError("top-k extraction needs k >= 1")
-        clamped = k > len(segments)
-        kk = min(k, len(segments))
-        order = heapq.nsmallest(kk, range(len(segments)), key=lambda i: (-segments[i].score, i))
-        return [segments[i] for i in sorted(order)], clamped
-    if mode == "threshold":
-        if threshold is None:
-            raise ShapeError("threshold extraction needs a threshold")
-        return [s for s in segments if s.score >= threshold], False
-    raise ShapeError(f"unknown extraction mode {mode!r}")
+    if mode != "top-k":
+        raise ShapeError(f"unknown extraction mode {mode!r}")
+    if k is None or k < 1:
+        raise ShapeError("top-k extraction needs k >= 1")
+    clamped = k > len(segments)
+    kk = min(k, len(segments))
+    order = heapq.nsmallest(kk, range(len(segments)), key=lambda i: (-segments[i].score, i))
+    return [segments[i] for i in sorted(order)], clamped

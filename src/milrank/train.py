@@ -346,8 +346,10 @@ def load_checkpoint(path) -> Checkpoint:
         code, ndim = struct.unpack("<BI", take(5))
         if code not in _DTYPES:
             raise FormatError(f"{path}: unknown dtype code {code} for {name}")
+        if ndim > 2:  # every layer tensor is a matrix or a vector
+            raise FormatError(f"{path}: tensor {name} has {ndim} dimensions")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: a corrupt shape must not wrap around
         dt = np.dtype(_DTYPES[code])
         arr = np.frombuffer(take(count * dt.itemsize), dtype=dt).reshape(shape)
         tensors[name] = arr.astype(arr.dtype.newbyteorder("=")).copy()

@@ -1,3 +1,5 @@
+import argparse
+import concurrent.futures
 import os
 import signal
 import subprocess
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import milrank
-from milrank.cli import main
+from milrank.cli import build_parser, main
 from milrank.data import read_manifest, write_feature_file
 from milrank.errors import ConfigError
 from milrank.train import TrainingConfig, load_checkpoint, train_event
@@ -51,6 +53,33 @@ CONFIG_KEYS = [
     ("seed", "--seed", "7"),
     ("model.k", "--k", "2"),
 ]
+
+
+# Every option string of every subcommand.  A flag is added or removed by
+# editing this table as well.
+FLAG_SURFACE = {
+    "train": [
+        "-h", "--help", "--config", "--lr0", "--lr-decay", "--lr-decay-every", "--momentum",
+        "--weight-decay", "--epochs", "--bag-size", "--tau", "--epsilon", "--loss-variant",
+        "--no-audio", "--no-vision", "--no-mmrl", "--no-bcm", "--pairs-per-step", "--seed",
+        "--k", "--manifest", "--event", "--out",
+    ],
+    "eval": ["-h", "--help", "--checkpoint", "--manifest", "--event", "--metric", "--out"],
+    "score": ["-h", "--help", "--checkpoint", "--features", "--topk"],
+    "synth": [
+        "-h", "--help", "--out", "--seed", "--events", "--videos-per-event",
+        "--segments-per-video", "--highlight-fraction", "--noise-sigma", "--tau",
+    ],
+    "gradcheck": ["-h", "--help", "--variant", "--seeds"],
+}
+
+
+def test_flag_surface():
+    parser = build_parser()
+    assert [o for a in parser._actions for o in a.option_strings] == ["-h", "--help"]
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {name: [o for a in p._actions for o in a.option_strings] for name, p in sub.choices.items()}
+    assert surface == FLAG_SURFACE
 
 
 def child_env() -> dict:
@@ -162,7 +191,18 @@ class TestExitCodes:
             assert main(args) == 1
         captured = capsys.readouterr()
         assert "non-finite" in captured.err and "Traceback" not in captured.err
-        assert [p for p in out.rglob("*") if p.is_file()] == []
+        assert not out.exists()
+
+    def test_non_utf8_config_file(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 1\nepochs = \xff\n")
+        code = main(
+            ["train", "--config", str(cfg), "--manifest", str(dataset / "manifest.tsv"), "--event", "ev00", "--out", str(tmp_path / "o")]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"configuration error: {cfg}: not UTF-8 text" in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "line",
@@ -429,11 +469,16 @@ class TestGradcheckCommand:
             label, err = line.split("\t")
             assert float(err) < 1e-4
 
-    def test_perturb_hook_fails(self, capsys):
-        code = main(["gradcheck", "--variant", "max-max", "--seeds", "1", "--perturb", "0.5"])
+    def test_perturb_hook_fails(self, capsys, monkeypatch):
+        """A case at the tolerance fails the command; the error comes from a
+        patched check."""
+        monkeypatch.setattr(milrank.cli, "run_gradient_check",
+                            lambda seeds, variants: {"max-max": 1e-9, "min-max": milrank.cli.TOLERANCE})
+        code = main(["gradcheck", "--variant", "max-max", "--seeds", "1"])
         captured = capsys.readouterr()
         assert code == 1
-        assert "FAILED" in captured.err
+        assert captured.out == "max-max\t1.000e-09\nmin-max\t1.000e-04\n"
+        assert captured.err == "FAILED: min-max exceed 0.0001\n"
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_no_seeds_is_usage_error(self, capsys, seeds):
@@ -580,7 +625,8 @@ class TestParallelTrain:
         proc = subprocess.run([sys.executable, "-c", script] + args, capture_output=True, text=True,
                               env=child_env(), timeout=300)
         assert proc.returncode == 1
-        assert "worker process died" in proc.stderr and "ev01, ev03" in proc.stderr
+        # the parent's ev02 comes after the failing ev01, so it is not trained either
+        assert "worker process died; events not trained: ev01, ev02, ev03\n" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout.splitlines() == [f"trained\tev00\t{tmp_path / 'o' / 'ev00'}.mnck"]
 
@@ -631,10 +677,10 @@ class TestParallelTrain:
     def test_in_process_when_one_job(self, dataset4, tmp_path, capsys, monkeypatch, cpus, events):
         usable_cpus(monkeypatch, cpus)
 
-        def forbidden(*args):
-            raise AssertionError("parallel path taken")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("worker pool created")
 
-        monkeypatch.setattr(milrank.cli, "_train_parallel", forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
         assert main(train_args(dataset4, tmp_path / "o", events)) == 0
         assert len(capsys.readouterr().out.splitlines()) == len(events)
 

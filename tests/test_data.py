@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import hashlib
 import struct
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import milrank.data
 from conftest import TOY
 from milrank.data import (
     Bag,
@@ -217,6 +219,18 @@ class TestManifest:
         lpath = tmp_path / "l.txt"
         lpath.write_text("0\nmaybe\n")
         with pytest.raises(FormatError, match="l.txt:2"):
+            read_labels(lpath)
+
+    def test_non_utf8_manifest(self, tmp_path):
+        mpath = self.write_dataset(tmp_path, [("a", "surf", 45.0)])
+        mpath.write_bytes(mpath.read_bytes() + b"\xff")
+        with pytest.raises(FormatError, match=r"manifest.tsv: not UTF-8 text"):
+            read_manifest(mpath)
+
+    def test_non_utf8_labels(self, tmp_path):
+        lpath = tmp_path / "l.txt"
+        lpath.write_bytes(b"0\n\xfe\n1\n")
+        with pytest.raises(FormatError, match=r"l.txt: not UTF-8 text"):
             read_labels(lpath)
 
     def test_load_video_label_length_mismatch(self, tmp_path):
@@ -437,6 +451,31 @@ class TestSynthetic:
             digest.update(p.read_bytes())
         # the bytes the generator has always written for this spec
         assert digest.hexdigest() == "2767a47bdb569f325bead44c1a7fceac5d4d53d409bbe73441e8f8140be0953c"
+
+    def test_failure_at_first_video_removes_what_it_made(self, tmp_path):
+        out = tmp_path / "new" / "data"
+        with pytest.raises(FormatError, match="non-finite"):
+            gen_synthetic(dataclasses.replace(self.SPEC, noise_sigma=1e40), out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_at_later_video_keeps_only_older_files(self, tmp_path, monkeypatch):
+        (tmp_path / "features").mkdir()
+        (tmp_path / "features" / "old.mnf").write_bytes(b"old")
+        (tmp_path / "notes.txt").write_bytes(b"notes")
+        real = milrank.data.write_feature_file
+
+        def fail_at_ev01(path, *args, **kwargs):
+            if path.name == "ev01_002.mnf":
+                raise OSError("disk full")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(milrank.data, "write_feature_file", fail_at_ev01)
+        with pytest.raises(OSError, match="disk full"):
+            gen_synthetic(self.SPEC, tmp_path)
+        left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+        assert left == ["features", "features/old.mnf", "notes.txt"]
+        assert (tmp_path / "features" / "old.mnf").read_bytes() == b"old"
+        assert (tmp_path / "notes.txt").read_bytes() == b"notes"
 
 
 class HalfWrite:

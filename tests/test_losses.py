@@ -6,7 +6,7 @@ import pytest
 from conftest import random_bag
 from milrank.data import Bag
 from milrank.errors import ConfigError, DataError, ShapeError
-from milrank.gradcheck import CheckCase, check_case
+from milrank.gradcheck import TOLERANCE, CheckCase, check_case
 from milrank.losses import (
     VARIANTS,
     backward,
@@ -214,6 +214,12 @@ class TestBackward:
     def test_matches_finite_differences_ablations(self, ablation, ablate_mm, ablate_bcm):
         err, _ = check_case(CheckCase("max-max", ablation, ablate_mm, ablate_bcm), seed=42)
         assert err < 1e-4
+
+    def test_round_off_at_the_small_step_is_not_a_failure(self):
+        """At this seed the difference quotient at the first step is swamped by
+        round-off (2.6e-4 on `wv2`); the coarser second probe clears it."""
+        err, _ = check_case(CheckCase("min-max", Ablation(no_audio=True), False, False), seed=100030)
+        assert err < TOLERANCE
 
 
 class TestFloat32Backward:

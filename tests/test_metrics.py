@@ -207,27 +207,6 @@ class TestEvaluateTop5Map:
         assert abs(report.per_video[0][1] - expected) < 1e-12
         assert report.metric == "top5-mAP"
 
-    def test_multi_summary_average(self, toy_params, rng):
-        from milrank.model import score_video
-
-        video = labeled_video(rng)
-        summaries = [rng.integers(0, 2, size=8).tolist() for _ in range(3)]
-        report = evaluate_top5_map(
-            toy_params, [video], "e", summaries_per_video=[summaries]
-        )
-        scores = score_video(video, toy_params)
-        expected = np.mean([ap_at_k(np.asarray(s), scores, 5) for s in summaries])
-        assert abs(report.per_video[0][1] - expected) < 1e-12
-
-    def test_summary_average_hand(self):
-        # direct check of the averaging rule on known per-summary APs
-        assert abs(np.mean([1.0, 0.5, 0.75]) - 0.75) < 1e-12
-
-    def test_empty_summaries_rejected(self, toy_params, rng):
-        video = labeled_video(rng)
-        with pytest.raises(DataError):
-            evaluate_top5_map(toy_params, [video], "e", summaries_per_video=[[]])
-
 
 class TestExtractHighlights:
     def make_segments(self, scores):
@@ -259,12 +238,6 @@ class TestExtractHighlights:
         ranked = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
         assert [s.segment_index for s in sel] == sorted(ranked[:k])
         assert clamped == (k > len(scores))
-
-    def test_threshold(self):
-        segs = self.make_segments([0.1, 0.9, 0.5])
-        sel, clamped = extract_highlights(segs, "threshold", threshold=0.5)
-        assert [s.segment_index for s in sel] == [1, 2]
-        assert not clamped
 
     def test_bad_mode_and_args(self):
         segs = self.make_segments([0.1])

@@ -397,6 +397,24 @@ class TestCheckpointIO:
         with pytest.raises(FormatError, match="c.mnck: tensor checksum mismatch"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("ndim,dims,message", [
+        (2, [2**32 - 1, 2**32 - 1], "truncated checkpoint"),  # more entries than int64 holds
+        (100, [0] * 100, "tensor p/bc1 has 100 dimensions"),
+    ])
+    def test_corrupt_tensor_shape(self, tmp_path, ndim, dims, message):
+        """A shape that no checksum covers (the file has none) is refused."""
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, self.make_checkpoint())
+        meta = self.metadata(path)
+        del meta["tensor_crc32"]
+        self.replace_metadata(path, json.dumps(meta).encode("utf-8"))
+        raw = path.read_bytes()
+        at = raw.index(b"p/bc1") + len(b"p/bc1") + 1  # after the name and the dtype code
+        shape = ndim.to_bytes(4, "little") + b"".join(d.to_bytes(4, "little") for d in dims)
+        path.write_bytes(raw[:at] + shape + raw[at + 8:])
+        with pytest.raises(FormatError, match=f"c.mnck: {message}"):
+            load_checkpoint(path)
+
     def test_checkpoint_without_checksum_loads(self, tmp_path):
         ckpt = self.make_checkpoint()
         path = tmp_path / "c.mnck"
