@@ -293,9 +293,9 @@ def split_videos(
     return positives, negatives
 
 
-def sample_bag(video: VideoRecord, bag_size: int, rng: np.random.Generator, polarity: str) -> Bag:
-    """Sample ``bag_size`` segments without replacement; if the video is
-    shorter, tile its segments as evenly as possible and shuffle."""
+def sample_bag(video: VideoRecord, bag_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of ``bag_size`` segments sampled without replacement; if the
+    video is shorter, its segments tiled as evenly as possible and shuffled."""
     if bag_size < 1:
         raise DataError("bag_size must be >= 1")
     n = video.n_segments
@@ -307,13 +307,7 @@ def sample_bag(video: VideoRecord, bag_size: int, rng: np.random.Generator, pola
         reps = math.ceil(bag_size / n)
         idx = np.tile(np.arange(n), reps)[:bag_size]
         rng.shuffle(idx)
-    return Bag(
-        vision=video.vision[idx],
-        audio=video.audio[idx],
-        polarity=polarity,
-        source_video=video.video_id,
-        instance_indices=np.asarray(idx, dtype=np.int64),
-    )
+    return np.asarray(idx, dtype=np.int64)
 
 
 def train_test_split(index: DatasetIndex, test_fraction: float, seed: int) -> Tuple[DatasetIndex, DatasetIndex]:

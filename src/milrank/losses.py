@@ -60,7 +60,9 @@ def _hinges(pos: np.ndarray, neg: np.ndarray, eps: float, variant: str) -> np.nd
     return np.maximum(0.0, eps - sp + sn)
 
 
-def _ranking_loss(ep, en, eps: float, variant: str) -> float:
+def variant_ranking_loss(ep, en, eps: float, variant: str) -> float:
+    """Ranking loss of one positive and one negative score sequence under any
+    of the ``VARIANTS``."""
     ep = np.asarray(ep, dtype=np.float64)
     en = np.asarray(en, dtype=np.float64)
     if ep.size == 0 or en.size == 0:
@@ -69,14 +71,7 @@ def _ranking_loss(ep, en, eps: float, variant: str) -> float:
 
 
 def mm_ranking_loss(ep, en, eps: float) -> float:
-    return _ranking_loss(ep, en, eps, "max-max")
-
-
-def variant_ranking_loss(ep, en, eps: float, variant: str) -> float:
-    """Ranking loss of one of the variants other than max-max."""
-    if variant == "max-max" or variant not in VARIANTS:
-        raise ConfigError(f"unknown ranking loss variant {variant!r}")
-    return _ranking_loss(ep, en, eps, variant)
+    return variant_ranking_loss(ep, en, eps, "max-max")
 
 
 def bce(y: float, label: int) -> float:

@@ -17,10 +17,8 @@ from .model import Ablation, ModelParams, score_video
 
 @dataclass(frozen=True)
 class ScoredSegment:
-    video_id: str
     segment_index: int
     start_s: float
-    end_s: float
     score: float
 
 
@@ -130,10 +128,7 @@ def evaluate_top5_map(
 
 def scored_segments(video: VideoRecord, params: ModelParams, ablation: Ablation = Ablation()) -> List[ScoredSegment]:
     scores = score_video(video, params, ablation)
-    return [
-        ScoredSegment(video.video_id, i, float(i), float(i + 1), float(s))
-        for i, s in enumerate(scores)
-    ]
+    return [ScoredSegment(i, float(i), float(s)) for i, s in enumerate(scores)]
 
 
 def extract_highlights(

@@ -32,9 +32,11 @@ MNCK_MAGIC = b"MNCK"
 MNCK_VERSION = 1
 _DTYPES = {1: "<f4", 2: "<f8"}
 _DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2}
-# Metadata key of the tensor-section checksum.  Files without it (older
+# Metadata keys of the tensor-section checksum and of the metadata checksum
+# (over the metadata without its own key).  Files without them (older
 # checkpoints, hand-built ones) load unchecked.
 _CRC_KEY = "tensor_crc32"
+_META_CRC_KEY = "meta_crc32"
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,7 @@ class Checkpoint:
     params: ModelParams
     config: TrainingConfig
     state: OptimizerState
-    rng_states: Optional[dict] = None  # bag/negative/shuffle stream states for resume
+    rng_states: Optional[dict] = None  # final bag/negative/shuffle stream states
 
 
 def lr_at(epoch: int, config: TrainingConfig) -> float:
@@ -155,36 +157,22 @@ def train_event(
     config: TrainingConfig,
     out_dir: Optional[Path] = None,
     checkpoint_path: Optional[Path] = None,
-    checkpoint_every: Optional[int] = None,
-    resume: Optional[Checkpoint] = None,
 ) -> Tuple[ModelParams, List[dict]]:
     """Train a model for one interest event.
 
     Each epoch takes one optimizer step per positive video (in shuffled
     order); every step pairs a bag from that positive video with a bag from a
     uniformly chosen negative video.  Fully deterministic in the seed; all
-    randomness flows through derived streams so the run can be resumed from a
-    checkpoint bit-exactly.  Forward and backward run on a float32 mirror of
-    the float64 parameters, refreshed after every float64 SGD step.
+    randomness flows through derived streams, whose final states the
+    checkpoint records.  Forward and backward run on a float32 mirror of the
+    float64 parameters, refreshed after every float64 SGD step.
     """
     config.validate()
     positives, negatives = datamod.split_videos(index, interest_event, config.tau)
 
     init_seed, bag_rng, neg_rng, shuffle_rng = _make_streams(config.seed)
-    if resume is not None:
-        if resume.config != config:
-            raise ConfigError("resume checkpoint was written with a different configuration")
-        params = resume.params
-        state = resume.state
-        if resume.rng_states is not None:
-            bag_rng.bit_generator.state = resume.rng_states["bag"]
-            neg_rng.bit_generator.state = resume.rng_states["negative"]
-            shuffle_rng.bit_generator.state = resume.rng_states["shuffle"]
-        start_epoch = state.epoch
-    else:
-        params = init_params(config.model, init_seed)
-        state = OptimizerState(velocity=zero_like_params(params))
-        start_epoch = 0
+    params = init_params(config.model, init_seed)
+    state = OptimizerState(velocity=zero_like_params(params))
 
     expect_dims = (config.model.dv, config.model.da)
     cache: Dict[str, datamod.VideoRecord] = {}
@@ -199,22 +187,23 @@ def train_event(
     ablation = config.ablation
     log: List[dict] = []
     log_lines: List[str] = []
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(config.epochs):
         lr = lr_at(epoch, config)
         order = shuffle_rng.permutation(len(positives))
         sums = np.zeros(3)
         n_steps = 0
         for pi in order:
+            # (video, segment indices) per bag, positives first
             bags_p, bags_n = [], []
             for _ in range(config.pairs_per_step):
                 pos = video(positives[pi])
                 neg = video(negatives[neg_rng.integers(len(negatives))])
-                bags_p.append(datamod.sample_bag(pos, config.bag_size, bag_rng, "positive"))
-                bags_n.append(datamod.sample_bag(neg, config.bag_size, bag_rng, "negative"))
+                bags_p.append((pos, datamod.sample_bag(pos, config.bag_size, bag_rng)))
+                bags_n.append((neg, datamod.sample_bag(neg, config.bag_size, bag_rng)))
             bags = bags_p + bags_n
             fwd = forward_stacked(
-                np.stack([b.vision for b in bags]),
-                np.stack([b.audio for b in bags]),
+                np.stack([v.vision[idx] for v, idx in bags]),
+                np.stack([v.audio[idx] for v, idx in bags]),
                 mirror,
                 ablation,
                 head=not config.no_bcm,
@@ -245,8 +234,6 @@ def train_event(
         log_lines.append(
             "{epoch}\t{lr:.10g}\t{mm:.10g}\t{bce_pos:.10g}\t{bce_neg:.10g}\t{total:.10g}".format(**entry)
         )
-        if checkpoint_path is not None and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
-            save_checkpoint(checkpoint_path, _snapshot(params, config, state, bag_rng, neg_rng, shuffle_rng))
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -255,21 +242,10 @@ def train_event(
             out_dir / f"{interest_event}.train.log", ("\n".join(log_lines) + "\n").encode("utf-8")
         )
     if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, _snapshot(params, config, state, bag_rng, neg_rng, shuffle_rng))
+        streams = {"bag": bag_rng, "negative": neg_rng, "shuffle": shuffle_rng}
+        rng_states = {name: rng.bit_generator.state for name, rng in streams.items()}
+        save_checkpoint(checkpoint_path, Checkpoint(params, config, state, rng_states))
     return params, log
-
-
-def _snapshot(params, config, state, bag_rng, neg_rng, shuffle_rng) -> Checkpoint:
-    return Checkpoint(
-        params=params,
-        config=config,
-        state=state,
-        rng_states={
-            "bag": bag_rng.bit_generator.state,
-            "negative": neg_rng.bit_generator.state,
-            "shuffle": shuffle_rng.bit_generator.state,
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +260,8 @@ def _config_from_dict(d: dict) -> TrainingConfig:
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write an MNCK file atomically.  The metadata carries a CRC-32 of the
-    tensor section (everything after the metadata block)."""
+    tensor section (everything after the metadata block) and a CRC-32 of
+    itself without that key."""
     tensors = [(f"p/{k}", v) for k, v in sorted(ckpt.params.tensors.items())]
     tensors += [(f"v/{k}", v) for k, v in sorted(ckpt.state.velocity.items())]
     section = bytearray(struct.pack("<I", len(tensors)))
@@ -304,10 +281,15 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "rng_states": ckpt.rng_states,
         _CRC_KEY: zlib.crc32(section),
     }
+    meta[_META_CRC_KEY] = _meta_crc(meta)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     datamod.write_atomic(
         path, MNCK_MAGIC, struct.pack("<II", MNCK_VERSION, len(meta_bytes)), meta_bytes, section
     )
+
+
+def _meta_crc(meta: dict) -> int:
+    return zlib.crc32(json.dumps(meta, sort_keys=True).encode("utf-8"))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -357,13 +339,21 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
     if _CRC_KEY in meta and zlib.crc32(memoryview(raw)[section_start:]) != meta[_CRC_KEY]:
         raise FormatError(f"{path}: tensor checksum mismatch")
+    if _META_CRC_KEY in meta:
+        stored = meta.pop(_META_CRC_KEY)
+        if _meta_crc(meta) != stored:
+            raise FormatError(f"{path}: metadata checksum mismatch")
 
     try:
         config = _config_from_dict(meta["config"])
-        step, epoch = meta["step"], meta["epoch"]
+        counters = {key: meta[key] for key in ("step", "epoch")}
+        counters["params_version"] = meta.get("params_version", 0)
         config.validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint metadata: {exc!r}") from None
+    for key, value in counters.items():
+        if type(value) is not int or value < 0:  # bool is an int subclass
+            raise FormatError(f"{path}: malformed checkpoint metadata: {key} {value!r} is not a count")
     p_tensors = {k[2:]: v for k, v in tensors.items() if k.startswith("p/")}
     v_tensors = {k[2:]: v for k, v in tensors.items() if k.startswith("v/")}
     expected = {name for name, _ in _layer_shapes(config.model)}
@@ -378,7 +368,7 @@ def load_checkpoint(path) -> Checkpoint:
     if set(v_tensors) != expected or any(v_tensors[k].shape != p_tensors[k].shape for k in expected):
         raise FormatError(f"{path}: velocity tensors do not match the parameter tensors")
     params = ModelParams(config.model, p_tensors)
-    params.version = meta.get("params_version", 0)
-    state = OptimizerState(velocity=v_tensors, step=step, epoch=epoch)
+    params.version = counters["params_version"]
+    state = OptimizerState(velocity=v_tensors, step=counters["step"], epoch=counters["epoch"])
     return Checkpoint(params=params, config=config, state=state, rng_states=meta.get("rng_states"))
 

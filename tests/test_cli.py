@@ -458,6 +458,19 @@ class TestEvalScore:
         assert "bad.mnck" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("edit", [(b'"lr0": 0.005,', b'"lr0": 0.009,'), (b'"seed": 5,', b'"seed": 7,')])
+    def test_score_edited_checkpoint_metadata(self, dataset, trained, tmp_path, capsys, edit):
+        raw = (trained / "ev00.mnck").read_bytes()
+        assert raw.count(edit[0]) == 1
+        bad = tmp_path / "bad.mnck"
+        bad.write_bytes(raw.replace(*edit))
+        feature = next(iter(sorted((dataset / "features").iterdir())))
+        code = main(["score", "--checkpoint", str(bad), "--features", str(feature)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "bad.mnck: metadata checksum mismatch" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 class TestGradcheckCommand:
     def test_single_variant_single_seed(self, capsys):
         code = main(["gradcheck", "--variant", "max-max", "--seeds", "1"])

@@ -4,8 +4,9 @@ checkpoints, manifests, label files and config files.
 Each input is truncated, has one byte flipped, or is spliced from two valid
 files, and then goes through `cli.main`.  The command must return 0, 1 or 2
 without raising and without a traceback.  A truncation must fail (1 or 2);
-exit 0 stays legal for a flip or a splice: MNF1 has no checksum, and a flipped
-digit in MNCK metadata or in a text file can still be valid.
+exit 0 stays legal for a flip or a splice: MNF1 has no checksum, a flipped
+whitespace byte in MNCK metadata leaves its checksummed values unchanged, and
+a flipped digit in a text file can still be valid.
 """
 
 import contextlib

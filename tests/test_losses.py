@@ -68,8 +68,6 @@ class TestVariantRankingLoss:
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
             variant_ranking_loss([0.1], [0.1], 1.0, "max-max-max")
-        with pytest.raises(ConfigError):
-            variant_ranking_loss([0.1], [0.1], 1.0, "max-max")
 
     def test_all_variants_coincide_on_singletons(self, rng):
         for _ in range(20):

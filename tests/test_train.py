@@ -192,26 +192,6 @@ class TestTrainEvent:
         with pytest.raises(DataError):
             train_event(toy_index, "ev99", TOY_TRAIN)
 
-    def test_resume_matches_uninterrupted(self, toy_index, tmp_path):
-        cfg = dataclasses.replace(TOY_TRAIN, epochs=4)
-        straight, _ = train_event(toy_index, "ev00", cfg)
-
-        ckpt_path = tmp_path / "mid.mnck"
-        train_event(
-            toy_index, "ev00", cfg, checkpoint_path=ckpt_path, checkpoint_every=2
-        )
-        # the final checkpoint overwrites the mid-run one; redo only to epoch 2
-        half_cfg = dataclasses.replace(cfg, epochs=2)
-        train_event(toy_index, "ev00", half_cfg, checkpoint_path=ckpt_path)
-        ckpt = load_checkpoint(ckpt_path)
-        ckpt = Checkpoint(ckpt.params, cfg, ckpt.state, ckpt.rng_states)
-        resumed, _ = train_event(toy_index, "ev00", cfg, resume=ckpt)
-
-        for name in straight.tensors:
-            assert np.allclose(
-                straight.tensors[name], resumed.tensors[name], atol=1e-12
-            ), name
-
     def test_outputs_stay_float64(self, toy_index, tmp_path):
         params, _ = train_event(toy_index, "ev00", TOY_TRAIN, checkpoint_path=tmp_path / "c.mnck")
         assert all(t.dtype == np.float64 for t in params.tensors.values())
@@ -238,14 +218,6 @@ class TestTrainEvent:
         for name, t in params.tensors.items():
             assert mirror.tensors[name].dtype == np.float32, name
             assert np.array_equal(mirror.tensors[name], t.astype(np.float32)), name
-
-    def test_resume_config_mismatch(self, toy_index, tmp_path):
-        ckpt_path = tmp_path / "c.mnck"
-        train_event(toy_index, "ev00", TOY_TRAIN, checkpoint_path=ckpt_path)
-        ckpt = load_checkpoint(ckpt_path)
-        other = dataclasses.replace(TOY_TRAIN, lr0=0.123)
-        with pytest.raises(ConfigError, match="configuration"):
-            train_event(toy_index, "ev00", other, resume=ckpt)
 
 
 class TestCheckpointIO:
@@ -366,6 +338,7 @@ class TestCheckpointIO:
         path = tmp_path / "c.mnck"
         save_checkpoint(path, self.make_checkpoint())
         meta = self.metadata(path)
+        del meta["meta_crc32"]  # reach the value check, not the checksum
         meta["config"]["model"]["k"] = k
         self.replace_metadata(path, json.dumps(meta).encode("utf-8"))
         with pytest.raises(FormatError, match="c.mnck: .*metadata"):
@@ -420,8 +393,33 @@ class TestCheckpointIO:
         path = tmp_path / "c.mnck"
         save_checkpoint(path, ckpt)
         meta = self.metadata(path)
-        del meta["tensor_crc32"]
+        del meta["tensor_crc32"], meta["meta_crc32"]
         self.replace_metadata(path, json.dumps(meta).encode("utf-8"))
         loaded = load_checkpoint(path)
         for name in ckpt.params.tensors:
             assert np.array_equal(loaded.params.tensors[name], ckpt.params.tensors[name])
+
+    @pytest.mark.parametrize("key,value", [
+        ("step", -9), ("step", 1.5), ("step", True), ("epoch", []), ("epoch", None),
+        ("params_version", {}), ("params_version", -1), ("params_version", False),
+    ])
+    def test_counters_must_be_counts(self, tmp_path, key, value):
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, self.make_checkpoint())
+        meta = self.metadata(path)
+        del meta["meta_crc32"]
+        meta[key] = value
+        self.replace_metadata(path, json.dumps(meta).encode("utf-8"))
+        with pytest.raises(FormatError, match=f"c.mnck: malformed checkpoint metadata: {key}"):
+            load_checkpoint(path)
+
+    def test_older_metadata_loads(self, tmp_path):
+        """Metadata without the checksum of itself or a parameter version, as
+        older checkpoints have it: it loads, and the version is 0."""
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, self.make_checkpoint())
+        meta = self.metadata(path)
+        del meta["meta_crc32"], meta["params_version"]
+        self.replace_metadata(path, json.dumps(meta).encode("utf-8"))
+        loaded = load_checkpoint(path)
+        assert loaded.state.step == 17 and loaded.params.version == 0
