@@ -99,6 +99,8 @@ class SyntheticSpec:
             raise DataError("noise_sigma must be positive and finite")
         if not (0.0 < self.tau and 2.0 * self.tau < math.inf):  # durations reach 1.95 tau
             raise DataError("tau must be positive and finite")
+        if self.seed < 0:
+            raise DataError(f"seed must be nonnegative, got {self.seed}")
 
 
 def write_atomic(path, *chunks: bytes) -> None:

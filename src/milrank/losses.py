@@ -38,26 +38,17 @@ _VARIANT_OPS = {
 VARIANTS = tuple(_VARIANT_OPS)
 
 
-def _variant_ops(variant: str):
+def _hinge(ep: np.ndarray, en: np.ndarray, eps: float, variant: str) -> tuple[float, int, int]:
+    """Hinge of the ranking loss over one positive and one negative score
+    sequence, and the index each statistic selects; ties go to the lowest
+    index, and a NaN score propagates to the hinge."""
     try:
-        return _VARIANT_OPS[variant]
+        pos_max, neg_max = _VARIANT_OPS[variant]
     except KeyError:
         raise ConfigError(f"unknown ranking loss variant {variant!r}") from None
-
-
-def _select(scores: np.ndarray, use_max: bool) -> np.ndarray:
-    """Index of the selected statistic in each row; ties go to the lowest
-    index."""
-    return scores.argmax(axis=1) if use_max else scores.argmin(axis=1)
-
-
-def _hinges(pos: np.ndarray, neg: np.ndarray, eps: float, variant: str) -> np.ndarray:
-    """Per-pair hinge of the ranking loss over rows of positive (P, Np) and
-    negative (P, Nn) scores."""
-    pos_max, neg_max = _variant_ops(variant)
-    sp = pos.max(axis=1) if pos_max else pos.min(axis=1)
-    sn = neg.max(axis=1) if neg_max else neg.min(axis=1)
-    return np.maximum(0.0, eps - sp + sn)
+    ip = int(ep.argmax() if pos_max else ep.argmin())
+    jn = int(en.argmax() if neg_max else en.argmin())
+    return float(np.maximum(0.0, eps - ep[ip] + en[jn])), ip, jn
 
 
 def variant_ranking_loss(ep, en, eps: float, variant: str) -> float:
@@ -67,7 +58,7 @@ def variant_ranking_loss(ep, en, eps: float, variant: str) -> float:
     en = np.asarray(en, dtype=np.float64)
     if ep.size == 0 or en.size == 0:
         raise DataError("ranking loss needs nonempty score sequences")
-    return float(_hinges(ep[None], en[None], eps, variant)[0])
+    return _hinge(ep, en, eps, variant)[0]
 
 
 def mm_ranking_loss(ep, en, eps: float) -> float:
@@ -83,11 +74,9 @@ def bce(y: float, label: int) -> float:
     raise ConfigError(f"binary label must be 0 or 1, got {label!r}")
 
 
-def _pairs(fwd: StackedForward) -> int:
-    n_bags = fwd.norm_scores.shape[0]
-    if n_bags % 2:
-        raise ShapeError(f"{n_bags} stacked bags do not form positive/negative pairs")
-    return n_bags // 2
+def _check_pair(fwd: StackedForward) -> None:
+    if len(fwd.norm_scores) != 2:
+        raise ShapeError(f"{len(fwd.norm_scores)} stacked bags, expected one positive and one negative")
 
 
 def total_loss(
@@ -97,20 +86,14 @@ def total_loss(
     ablate_mm: bool = False,
     ablate_bcm: bool = False,
 ) -> LossBreakdown:
-    """Mean loss over the P pairs of a stacked forward over 2P bags: bags
-    0..P-1 are the positives, bag P+i is the negative paired with bag i."""
+    """Loss of a stacked forward over two bags: bag 0 is the positive, bag 1
+    the negative."""
     if ablate_mm and ablate_bcm:
         raise ConfigError("ablating both the ranking and classification terms leaves no objective")
-    n_pairs = _pairs(fwd)
-    norm = fwd.norm_scores
-    mm = 0.0
-    if not ablate_mm:
-        mm = float(_hinges(norm[:n_pairs], norm[n_pairs:], eps, variant).sum()) / n_pairs
-    bp = bn = 0.0
-    if not ablate_bcm:
-        probs = fwd.event_prob.tolist()
-        bp = sum(bce(y, 1) for y in probs[:n_pairs]) / n_pairs
-        bn = sum(bce(y, 0) for y in probs[n_pairs:]) / n_pairs
+    _check_pair(fwd)
+    mm = 0.0 if ablate_mm else variant_ranking_loss(fwd.norm_scores[0], fwd.norm_scores[1], eps, variant)
+    bp = 0.0 if ablate_bcm else bce(fwd.event_prob[0], 1)
+    bn = 0.0 if ablate_bcm else bce(fwd.event_prob[1], 0)
     return LossBreakdown(mm=mm, bce_pos=bp, bce_neg=bn)
 
 
@@ -147,8 +130,8 @@ def backward(
         raise ConfigError("ablating both the ranking and classification terms leaves no objective")
     t = params.tensors
     cfg = params.config
-    n_pairs = _pairs(fwd)
-    e = fwd.norm_scores  # (B, N)
+    _check_pair(fwd)
+    e = fwd.norm_scores  # (2, N)
     n_bags, n = e.shape
     fused = fwd.fused.reshape(n_bags * n, cfg.fused_dim)
     dtype = fused.dtype
@@ -156,11 +139,10 @@ def backward(
 
     d_norm = np.zeros_like(e)
     if not ablate_mm:
-        pos, neg = e[:n_pairs], e[n_pairs:]
-        active = np.flatnonzero(_hinges(pos, neg, eps, variant) > 0.0)
-        pos_max, neg_max = _variant_ops(variant)
-        d_norm[active, _select(pos, pos_max)[active]] = -1.0 / n_pairs
-        d_norm[n_pairs + active, _select(neg, neg_max)[active]] = 1.0 / n_pairs
+        hinge, ip, jn = _hinge(e[0], e[1], eps, variant)
+        if hinge > 0.0:
+            d_norm[0, ip] = -1.0
+            d_norm[1, jn] = 1.0
 
     # classifier head: event_prob = softmax(logits)[:, 1]
     if ablate_bcm:
@@ -169,9 +151,7 @@ def backward(
         d_fused = np.zeros_like(fused)
     else:
         p = fwd.cls_probs
-        d_prob = np.array(
-            [_bce_grad(y, 1) for y in p[:n_pairs, 1]] + [_bce_grad(y, 0) for y in p[n_pairs:, 1]]
-        ) / n_pairs
+        d_prob = np.array([_bce_grad(p[0, 1], 1), _bce_grad(p[1, 1], 0)])
         d_logits = (d_prob * p[:, 1])[:, None] * (np.array([0.0, 1.0]) - p)
         d_logits = d_logits.astype(dtype, copy=False)
         grads["wc2"] = d_logits.T @ fwd.cls_hidden

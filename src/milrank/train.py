@@ -55,7 +55,6 @@ class TrainingConfig:
     no_vision: bool = False
     no_mmrl: bool = False
     no_bcm: bool = False
-    pairs_per_step: int = 1
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
 
@@ -86,8 +85,8 @@ class TrainingConfig:
             raise ConfigError("weight_decay must be nonnegative")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.pairs_per_step < 1:
-            raise ConfigError("pairs_per_step must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.loss_variant not in VARIANTS:
             raise ConfigError(f"unknown loss variant {self.loss_variant!r}")
         if self.no_mmrl and self.no_bcm:
@@ -193,17 +192,13 @@ def train_event(
         sums = np.zeros(3)
         n_steps = 0
         for pi in order:
-            # (video, segment indices) per bag, positives first
-            bags_p, bags_n = [], []
-            for _ in range(config.pairs_per_step):
-                pos = video(positives[pi])
-                neg = video(negatives[neg_rng.integers(len(negatives))])
-                bags_p.append((pos, datamod.sample_bag(pos, config.bag_size, bag_rng)))
-                bags_n.append((neg, datamod.sample_bag(neg, config.bag_size, bag_rng)))
-            bags = bags_p + bags_n
+            pos = video(positives[pi])
+            neg = video(negatives[neg_rng.integers(len(negatives))])
+            rows_p = datamod.sample_bag(pos, config.bag_size, bag_rng)
+            rows_n = datamod.sample_bag(neg, config.bag_size, bag_rng)
             fwd = forward_stacked(
-                np.stack([v.vision[idx] for v, idx in bags]),
-                np.stack([v.audio[idx] for v, idx in bags]),
+                np.stack([pos.vision[rows_p], neg.vision[rows_n]]),
+                np.stack([pos.audio[rows_p], neg.audio[rows_n]]),
                 mirror,
                 ablation,
                 head=not config.no_bcm,
@@ -254,6 +249,9 @@ def train_event(
 
 def _config_from_dict(d: dict) -> TrainingConfig:
     d = dict(d)
+    # checkpoints from before one pair per step store pairs_per_step = 1
+    if (pairs := d.pop("pairs_per_step", 1)) != 1:
+        raise FormatError(f"pairs_per_step {pairs!r} is not supported; a step trains one pair")
     model = ModelConfig(**d.pop("model"))
     return TrainingConfig(model=model, **d)
 
@@ -312,7 +310,7 @@ def load_checkpoint(path) -> Checkpoint:
     (meta_len,) = struct.unpack("<I", take(4))
     try:
         meta = json.loads(take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deeply nested JSON
         raise FormatError(f"{path}: unreadable checkpoint metadata: {exc}") from None
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: malformed checkpoint metadata: not a JSON object")

@@ -1,10 +1,12 @@
 import argparse
 import concurrent.futures
+import json
 import os
 import signal
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 import milrank
 from milrank.cli import build_parser, main
 from milrank.data import read_manifest, write_feature_file
-from milrank.errors import ConfigError
+from milrank.errors import ConfigError, FormatError
 from milrank.train import TrainingConfig, load_checkpoint, train_event
 
 SYNTH_ARGS = [
@@ -49,7 +51,6 @@ CONFIG_KEYS = [
     ("no_vision", "--no-vision", "True"),
     ("no_mmrl", "--no-mmrl", "True"),
     ("no_bcm", "--no-bcm", "True"),
-    ("pairs_per_step", "--pairs-per-step", "2"),
     ("seed", "--seed", "7"),
     ("model.k", "--k", "2"),
 ]
@@ -61,7 +62,7 @@ FLAG_SURFACE = {
     "train": [
         "-h", "--help", "--config", "--lr0", "--lr-decay", "--lr-decay-every", "--momentum",
         "--weight-decay", "--epochs", "--bag-size", "--tau", "--epsilon", "--loss-variant",
-        "--no-audio", "--no-vision", "--no-mmrl", "--no-bcm", "--pairs-per-step", "--seed",
+        "--no-audio", "--no-vision", "--no-mmrl", "--no-bcm", "--seed",
         "--k", "--manifest", "--event", "--out",
     ],
     "eval": ["-h", "--help", "--checkpoint", "--manifest", "--event", "--metric", "--out"],
@@ -176,6 +177,7 @@ class TestExitCodes:
             ("--tau", "-5"),
             ("--tau", "nan"),
             ("--noise-sigma", "nan"),
+            ("--seed", "-1"),
         ],
     )
     def test_synth_bad_argument_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -206,7 +208,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "line",
-        ["lr0 = nan", "lr0 = inf", "eps = nan", "tau = -5", "momentum = 7", "weight_decay = -1"],
+        ["lr0 = nan", "lr0 = inf", "eps = nan", "tau = -5", "momentum = 7", "weight_decay = -1", "seed = -1"],
     )
     def test_invalid_config_file_value(self, dataset, tmp_path, capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -470,6 +472,47 @@ class TestEvalScore:
         assert code == 1
         assert "bad.mnck: metadata checksum mismatch" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_score_deeply_nested_checkpoint_metadata(self, dataset, tmp_path, capsys):
+        meta = b"[" * 200_000 + b"]" * 200_000
+        bad = tmp_path / "bad.mnck"
+        bad.write_bytes(b"MNCK" + (1).to_bytes(4, "little") + len(meta).to_bytes(4, "little") + meta)
+        feature = next(iter(sorted((dataset / "features").iterdir())))
+        code = main(["score", "--checkpoint", str(bad), "--features", str(feature)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "bad.mnck: unreadable checkpoint metadata" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("pairs", [1, 2])
+    def test_score_checkpoint_with_pairs_per_step(self, dataset, trained, tmp_path, capsys, pairs):
+        """Checkpoints from before one pair per step store `pairs_per_step`;
+        the only value such a run could share with today's is 1."""
+        raw = (trained / "ev00.mnck").read_bytes()
+        meta_len = int.from_bytes(raw[8:12], "little")
+        meta = json.loads(raw[12 : 12 + meta_len])
+        del meta["meta_crc32"]
+        meta["config"]["pairs_per_step"] = pairs
+        meta["meta_crc32"] = zlib.crc32(json.dumps(meta, sort_keys=True).encode("utf-8"))
+        new_meta = json.dumps(meta, sort_keys=True).encode("utf-8")
+        old = tmp_path / "old.mnck"
+        old.write_bytes(raw[:8] + len(new_meta).to_bytes(4, "little") + new_meta + raw[12 + meta_len :])
+        feature = next(iter(sorted((dataset / "features").iterdir())))
+        assert main(["score", "--checkpoint", str(trained / "ev00.mnck"), "--features", str(feature)]) == 0
+        expected = capsys.readouterr().out
+        code = main(["score", "--checkpoint", str(old), "--features", str(feature)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if pairs == 1:
+            assert code == 0 and captured.out == expected
+            assert load_checkpoint(old).config == load_checkpoint(trained / "ev00.mnck").config
+        else:
+            assert code == 1 and captured.out == ""
+            assert "old.mnck: malformed checkpoint metadata" in captured.err
+            assert "pairs_per_step 2 is not supported" in captured.err
+            with pytest.raises(FormatError, match="pairs_per_step"):
+                load_checkpoint(old)
+
 
 class TestGradcheckCommand:
     def test_single_variant_single_seed(self, capsys):

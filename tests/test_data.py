@@ -427,6 +427,7 @@ class TestSynthetic:
             ("noise_sigma", float("inf")),
             ("highlight_fraction", float("nan")),
             ("highlight_fraction", float("inf")),
+            ("seed", -1),
         ],
     )
     def test_nonfinite_or_nonpositive_rejected(self, tmp_path, field, value):

@@ -32,7 +32,7 @@ LABEL_MANIFEST = "v1\tsurf\t45.25\tfeat/v1.mnf\tfuzz.txt\n"
 CONFIG = (
     "lr0 = 0.005\nlr_decay = 0.7\nlr_decay_every = 20\nmomentum = 0.9\nweight_decay = 0.0005\n"
     "epochs = 1\nbag_size = 4\ntau = 60.0\neps = 1.0\nloss_variant = max-max\nno_audio = False\n"
-    "no_vision = False\nno_mmrl = False\nno_bcm = False\npairs_per_step = 1\nseed = 5\nmodel.k = 2\n"
+    "no_vision = False\nno_mmrl = False\nno_bcm = False\nseed = 5\nmodel.k = 2\n"
 )
 CONFIG_B = "# a shorter run\nseed = 3\nepochs = 2\nloss_variant = min-max\nno_bcm = yes\n"
 

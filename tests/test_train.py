@@ -147,6 +147,7 @@ class TestConfigValidation:
             {"momentum": -0.1},
             {"momentum": 7.0},
             {"weight_decay": -1.0},
+            {"seed": -1},
         ],
     )
     def test_rejects(self, kwargs):
