@@ -9,56 +9,44 @@ is ``losses.backward`` over ``model.forward_stacked``, and the oracle probes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
 from .losses import VARIANTS, backward, total_loss
-from .model import Ablation, ModelConfig, ModelParams, forward_stacked, init_params
+from .model import ModelConfig, ModelParams, forward_stacked, init_params
 from .numkit import finite_diff_gradient
+from .train import TrainingConfig
 
 TOY_MODEL = ModelConfig(dv=8, da=4, hv=3, hf=3, ds=2, hc=2, k=2)
 TOY_BAG_SIZE = 5
 # A case fails when its max relative error reaches this.
 TOLERANCE = 1e-4
-# The ranking margin and the finite-difference probe step of every case.
-MARGIN = 1.0
+# The finite-difference probe step of every case.
 PROBE_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class CheckCase:
-    variant: str
-    ablation: Ablation
-    ablate_mm: bool
-    ablate_bcm: bool
-
-    def label(self) -> str:
-        bits = [self.variant]
-        if self.ablation.no_audio:
-            bits.append("no-audio")
-        if self.ablation.no_vision:
-            bits.append("no-vision")
-        if self.ablate_mm:
-            bits.append("no-mmrl")
-        if self.ablate_bcm:
-            bits.append("no-bcm")
-        return "+".join(bits)
+def label(config: TrainingConfig) -> str:
+    bits = [config.loss_variant]
+    for switch in ("no_audio", "no_vision", "no_mmrl", "no_bcm"):
+        if getattr(config, switch):
+            bits.append(switch.replace("_", "-"))
+    return "+".join(bits)
 
 
-def all_cases(variants=VARIANTS) -> List[CheckCase]:
+def all_cases(variants=VARIANTS) -> List[TrainingConfig]:
     """Every modality / loss-term / variant combination worth checking.  When
     the ranking term is ablated the variant is irrelevant, so only one
     representative is kept."""
     cases = []
-    modalities = [Ablation(), Ablation(no_audio=True), Ablation(no_vision=True)]
-    for abl in modalities:
+    for modality in ({}, {"no_audio": True}, {"no_vision": True}):
+        base = TrainingConfig(model=TOY_MODEL, **modality)
         for variant in variants:
-            cases.append(CheckCase(variant, abl, False, False))
-            cases.append(CheckCase(variant, abl, False, True))
-        cases.append(CheckCase(VARIANTS[0], abl, True, False))
+            cases.append(replace(base, loss_variant=variant))
+            cases.append(replace(base, loss_variant=variant, no_bcm=True))
+        cases.append(replace(base, loss_variant=VARIANTS[0], no_mmrl=True))
     return cases
 
 
@@ -89,8 +77,9 @@ def relative_errors(
     return out
 
 
-def check_case(case: CheckCase, seed: int) -> Tuple[float, Dict[str, float]]:
-    """Max relative error over all parameters for one configuration.
+def check_case(config: TrainingConfig, seed: int) -> Tuple[float, Dict[str, float]]:
+    """Max relative error over all parameters for one configuration, whose
+    loss settings reach the forward and the loss as in ``train.train_event``.
 
     Biases are nudged off their zero init so no relu pre-activation sits
     exactly on the kink, where central differences straddle the subgradient.
@@ -105,17 +94,16 @@ def check_case(case: CheckCase, seed: int) -> Tuple[float, Dict[str, float]]:
         if tensor.ndim == 1:
             tensor += rng.uniform(-0.3, 0.3, size=tensor.shape)
     vision, audio = _random_pair(rng)
-    head = not case.ablate_bcm
+    ablation, head = config.ablation, not config.no_bcm
+    loss_args = (config.eps, config.loss_variant, config.no_mmrl, config.no_bcm)
 
     def forward(p: ModelParams):
-        return forward_stacked(vision, audio, p, case.ablation, head)
+        return forward_stacked(vision, audio, p, ablation, head=head)
 
-    analytic = backward(
-        forward(params), params, MARGIN, case.variant, case.ablate_mm, case.ablate_bcm
-    )
+    analytic = backward(forward(params), params, *loss_args)
 
     def loss_fn(p: ModelParams) -> float:
-        return total_loss(forward(p), MARGIN, case.variant, case.ablate_mm, case.ablate_bcm).total
+        return total_loss(forward(p), *loss_args).total
 
     errs = relative_errors(analytic, finite_diff_gradient(loss_fn, params, h=PROBE_STEP))
     if max(errs.values()) >= TOLERANCE:
@@ -135,5 +123,5 @@ def run_gradient_check(seeds=range(20), variants=VARIANTS) -> Dict[str, float]:
         for seed in seeds:
             err, errs = check_case(case, seed)
             worst = max(worst, err)
-        results[case.label()] = worst
+        results[label(case)] = worst
     return results

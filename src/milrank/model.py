@@ -2,9 +2,9 @@
 residual connection, per-instance highlight scoring, within-bag softmax
 normalization, score-weighted bag pooling, and a two-way bag event classifier.
 
-Parameters live in a flat name -> float64 ndarray mapping so that the
-optimizer, checkpoints, and the finite-difference oracle can treat them
-uniformly; training runs the forward on a float32 copy.  Weight matrices are
+Parameters live in a flat name -> ndarray mapping so that the optimizer,
+checkpoints, and the finite-difference oracle can treat them uniformly; they
+are float32 while training and float64 everywhere else.  Weight matrices are
 (out, in); a batch X of shape (N, in) is transformed as X @ W.T + b.
 """
 

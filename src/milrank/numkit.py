@@ -1,8 +1,8 @@
 """Minimal dense numeric kernel.
 
 Vectors and matrices are plain numpy arrays.  Feature storage on disk is
-float32; the network computes in the dtype of its parameters (float64, or a
-float32 copy during training), and softmax sums always accumulate in float64.
+float32; the network computes in the dtype of its parameters (float32 while
+training, float64 otherwise), and softmax sums always accumulate in float64.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ import json
 import math
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -37,6 +37,9 @@ _DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2}
 # checkpoints, hand-built ones) load unchecked.
 _CRC_KEY = "tensor_crc32"
 _META_CRC_KEY = "meta_crc32"
+# The values each scalar field type of TrainingConfig accepts.  A bool, though
+# an int, is accepted only for a bool field.
+_SCALAR_TYPES = {bool: bool, int: (int, np.integer), float: (int, float, np.integer)}
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,14 @@ class TrainingConfig:
         return Ablation(no_audio=self.no_audio, no_vision=self.no_vision)
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, typ in get_type_hints(TrainingConfig).items():
+            value = getattr(self, name)
+            if not isinstance(value, _SCALAR_TYPES.get(typ, object)) or (
+                isinstance(value, bool) and typ is not bool
+            ):
+                raise ConfigError(f"{name} must be of type {typ.__name__}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.lr0 <= 0:
             raise ConfigError("lr0 must be positive")
         if not (0.0 < self.lr_decay <= 1.0):
@@ -163,14 +170,16 @@ def train_event(
     order); every step pairs a bag from that positive video with a bag from a
     uniformly chosen negative video.  Fully deterministic in the seed; all
     randomness flows through derived streams, whose final states the
-    checkpoint records.  Forward and backward run on a float32 mirror of the
-    float64 parameters, refreshed after every float64 SGD step.
+    checkpoint records.  One float32 set of parameters and of velocities is
+    trained; both are upcast to float64 (exactly) after the last epoch, so the
+    returned parameters and the checkpoint are float64.
     """
     config.validate()
     positives, negatives = datamod.split_videos(index, interest_event, config.tau)
 
     init_seed, bag_rng, neg_rng, shuffle_rng = _make_streams(config.seed)
     params = init_params(config.model, init_seed)
+    params.tensors = {k: v.astype(np.float32) for k, v in params.tensors.items()}
     state = OptimizerState(velocity=zero_like_params(params))
 
     expect_dims = (config.model.dv, config.model.da)
@@ -181,8 +190,6 @@ def train_event(
             cache[ref.video_id] = datamod.load_video(ref, expect_dims=expect_dims)
         return cache[ref.video_id]
 
-    mirror = ModelParams(params.config, {k: v.astype(np.float32) for k, v in params.tensors.items()})
-    mirror.version = params.version
     ablation = config.ablation
     log: List[dict] = []
     log_lines: List[str] = []
@@ -199,7 +206,7 @@ def train_event(
             fwd = forward_stacked(
                 np.stack([pos.vision[rows_p], neg.vision[rows_n]]),
                 np.stack([pos.audio[rows_p], neg.audio[rows_n]]),
-                mirror,
+                params,
                 ablation,
                 head=not config.no_bcm,
             )
@@ -207,12 +214,9 @@ def train_event(
             if not np.isfinite(lb.total):
                 raise NumericError(f"non-finite loss at epoch {epoch}, step {state.step}")
             grads = backward(
-                fwd, mirror, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm
+                fwd, params, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm
             )
             sgd_step(params, grads, state, lr, config)
-            for name, theta in params.tensors.items():
-                np.copyto(mirror.tensors[name], theta)
-            mirror.version = params.version
             sums += (lb.mm, lb.bce_pos, lb.bce_neg)
             n_steps += 1
         state.epoch = epoch + 1
@@ -230,6 +234,8 @@ def train_event(
             "{epoch}\t{lr:.10g}\t{mm:.10g}\t{bce_pos:.10g}\t{bce_neg:.10g}\t{total:.10g}".format(**entry)
         )
 
+    params.tensors = {k: v.astype(np.float64) for k, v in params.tensors.items()}
+    state.velocity = {k: v.astype(np.float64) for k, v in state.velocity.items()}
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,6 +329,10 @@ def load_checkpoint(path) -> Checkpoint:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: tensor name is not UTF-8") from None
+        if name[:2] not in ("p/", "v/"):
+            raise FormatError(f"{path}: unexpected tensor {name!r}")
+        if name in tensors:
+            raise FormatError(f"{path}: duplicate tensor {name}")
         code, ndim = struct.unpack("<BI", take(5))
         if code not in _DTYPES:
             raise FormatError(f"{path}: unknown dtype code {code} for {name}")

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_bag
 from milrank.data import Bag
 from milrank.errors import ConfigError, DataError, ShapeError
-from milrank.gradcheck import TOLERANCE, CheckCase, check_case
+from milrank.gradcheck import TOLERANCE, TOY_MODEL, check_case
 from milrank.losses import (
     VARIANTS,
     backward,
@@ -16,6 +16,7 @@ from milrank.losses import (
     variant_ranking_loss,
 )
 from milrank.model import Ablation, ModelConfig, ModelParams, forward_stacked, init_params
+from milrank.train import TrainingConfig
 
 
 class TestMMRankingLoss:
@@ -175,7 +176,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_finite_differences(self, variant):
-        err, _ = check_case(CheckCase(variant, Ablation(), False, False), seed=42)
+        err, _ = check_case(TrainingConfig(model=TOY_MODEL, loss_variant=variant), seed=42)
         assert err < 1e-4
 
     @pytest.mark.parametrize(
@@ -188,13 +189,21 @@ class TestBackward:
         ],
     )
     def test_matches_finite_differences_ablations(self, ablation, ablate_mm, ablate_bcm):
-        err, _ = check_case(CheckCase("max-max", ablation, ablate_mm, ablate_bcm), seed=42)
+        config = TrainingConfig(
+            model=TOY_MODEL,
+            no_audio=ablation.no_audio,
+            no_vision=ablation.no_vision,
+            no_mmrl=ablate_mm,
+            no_bcm=ablate_bcm,
+        )
+        err, _ = check_case(config, seed=42)
         assert err < 1e-4
 
     def test_round_off_at_the_small_step_is_not_a_failure(self):
         """At this seed the difference quotient at the first step is swamped by
         round-off (2.6e-4 on `wv2`); the coarser second probe clears it."""
-        err, _ = check_case(CheckCase("min-max", Ablation(no_audio=True), False, False), seed=100030)
+        config = TrainingConfig(model=TOY_MODEL, loss_variant="min-max", no_audio=True)
+        err, _ = check_case(config, seed=100030)
         assert err < TOLERANCE
 
 

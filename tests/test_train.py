@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -148,6 +150,15 @@ class TestConfigValidation:
             {"momentum": 7.0},
             {"weight_decay": -1.0},
             {"seed": -1},
+            {"epochs": 2.5},
+            {"bag_size": 2.5},
+            {"epochs": True},
+            {"lr_decay_every": True},
+            {"seed": "1"},
+            {"no_bcm": 1},
+            {"no_audio": None},
+            {"lr0": True},
+            {"tau": "60"},
         ],
     )
     def test_rejects(self, kwargs):
@@ -156,6 +167,13 @@ class TestConfigValidation:
 
     def test_defaults_valid(self):
         TrainingConfig().validate()
+
+    def test_int_for_float_and_numpy_int_valid(self):
+        TrainingConfig(tau=60, lr0=1, seed=np.int64(3), epochs=np.int32(2)).validate()
+
+    def test_train_event_rejects_fractional_epochs(self, toy_index):
+        with pytest.raises(ConfigError, match="epochs must be of type int, got 2.5"):
+            train_event(toy_index, "ev00", dataclasses.replace(TOY_TRAIN, epochs=2.5))
 
 
 class TestTrainEvent:
@@ -194,31 +212,31 @@ class TestTrainEvent:
             train_event(toy_index, "ev99", TOY_TRAIN)
 
     def test_outputs_stay_float64(self, toy_index, tmp_path):
+        """Returned and checkpointed values are float64, and each one is a
+        float32 value: training kept one float32 set of each."""
         params, _ = train_event(toy_index, "ev00", TOY_TRAIN, checkpoint_path=tmp_path / "c.mnck")
-        assert all(t.dtype == np.float64 for t in params.tensors.values())
         ckpt = load_checkpoint(tmp_path / "c.mnck")
-        for group in (ckpt.params.tensors, ckpt.state.velocity):
-            assert all(t.dtype == np.float64 for t in group.values())
+        for group in (params.tensors, ckpt.params.tensors, ckpt.state.velocity):
+            for name, t in group.items():
+                assert t.dtype == np.float64, name
+                assert np.array_equal(t, t.astype(np.float32)), name
         for name, t in params.tensors.items():
             assert np.array_equal(ckpt.params.tensors[name], t), name
 
-    def test_float32_mirror_refreshed(self, toy_index, monkeypatch):
+    def test_one_float32_parameter_set(self, toy_index, monkeypatch):
         import milrank.train as trainmod
 
         seen, forward = [], trainmod.forward_stacked
 
         def spy(vision, audio, params, *args, **kwargs):
-            seen.append(params)
+            seen.append((params, {t.dtype for t in params.tensors.values()}))
             return forward(vision, audio, params, *args, **kwargs)
 
         monkeypatch.setattr(trainmod, "forward_stacked", spy)
         params, _ = train_event(toy_index, "ev00", TOY_TRAIN)
-        mirror = seen[-1]
-        assert all(p is mirror for p in seen)  # allocated once
-        assert mirror.version == params.version
-        for name, t in params.tensors.items():
-            assert mirror.tensors[name].dtype == np.float32, name
-            assert np.array_equal(mirror.tensors[name], t.astype(np.float32)), name
+        assert len(seen) > 1
+        assert all(p is params and dtypes == {np.dtype(np.float32)} for p, dtypes in seen)
+        assert all(t.dtype == np.float64 for t in params.tensors.values())
 
 
 class TestCheckpointIO:
@@ -343,6 +361,62 @@ class TestCheckpointIO:
         meta["config"]["model"]["k"] = k
         self.replace_metadata(path, json.dumps(meta).encode("utf-8"))
         with pytest.raises(FormatError, match="c.mnck: .*metadata"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value", [("epochs", True), ("no_bcm", 1), ("bag_size", 2.5)])
+    def test_config_field_of_wrong_type(self, tmp_path, key, value):
+        path = tmp_path / "c.mnck"
+        save_checkpoint(path, self.make_checkpoint())
+        meta = self.metadata(path)
+        del meta["meta_crc32"]
+        meta["config"][key] = value
+        self.replace_metadata(path, json.dumps(meta).encode("utf-8"))
+        with pytest.raises(FormatError, match=f"c.mnck: malformed checkpoint metadata: .*{key}"):
+            load_checkpoint(path)
+
+    def write_blocks(self, path, blocks) -> None:
+        """A checkpoint whose tensor section holds ``blocks``, (name, float64
+        array) pairs, with both checksums valid."""
+        save_checkpoint(path, self.make_checkpoint())
+        section = bytearray(struct.pack("<I", len(blocks)))
+        for name, a in blocks:
+            nb = name.encode("utf-8")
+            section += struct.pack("<I", len(nb)) + nb
+            section += struct.pack(f"<BI{a.ndim}I", 2, a.ndim, *a.shape) + a.astype("<f8").tobytes()
+        meta = self.metadata(path)
+        del meta["meta_crc32"]
+        meta["tensor_crc32"] = zlib.crc32(section)
+        meta["meta_crc32"] = zlib.crc32(json.dumps(meta, sort_keys=True).encode("utf-8"))
+        meta_bytes = json.dumps(meta).encode("utf-8")
+        path.write_bytes(b"MNCK" + struct.pack("<II", 1, len(meta_bytes)) + meta_bytes + section)
+
+    def valid_blocks(self):
+        ckpt = self.make_checkpoint()
+        return [(f"p/{k}", v) for k, v in ckpt.params.tensors.items()] + [
+            (f"v/{k}", v) for k, v in ckpt.state.velocity.items()
+        ]
+
+    def test_hand_built_blocks_load(self, tmp_path):
+        path = tmp_path / "c.mnck"
+        self.write_blocks(path, self.valid_blocks())
+        loaded = load_checkpoint(path)
+        for name, t in self.make_checkpoint().params.tensors.items():
+            assert np.array_equal(loaded.params.tensors[name], t), name
+
+    @pytest.mark.parametrize("name", ["x/wv1", "wv1", "", "p", "q/"])
+    def test_stray_tensor_block(self, tmp_path, name):
+        path = tmp_path / "c.mnck"
+        self.write_blocks(path, self.valid_blocks() + [(name, np.zeros(3))])
+        with pytest.raises(FormatError, match=f"c.mnck: unexpected tensor '{name}'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["p/wv1", "v/bc1"])
+    def test_duplicate_tensor_block(self, tmp_path, name):
+        blocks = self.valid_blocks()
+        first = dict(blocks)[name]
+        path = tmp_path / "c.mnck"
+        self.write_blocks(path, blocks + [(name, first + 1.0)])
+        with pytest.raises(FormatError, match=f"c.mnck: duplicate tensor {name}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("fault", ["none", "missing-one", "extra-one", "wrong-shape"])
