@@ -3,7 +3,8 @@ finite-difference oracle, across loss variants and ablation switches.
 
 Both sides differentiate the training forward itself: the analytic gradient
 is ``losses.backward`` over ``model.forward_stacked``, and the oracle probes
-``losses.total_loss`` over the same ``forward_stacked``.
+``losses.total_loss`` over the same ``forward_stacked``, run once over all
+the perturbed copies of the parameters stacked on a leading probe axis.
 """
 
 from __future__ import annotations
@@ -81,12 +82,13 @@ def check_case(config: TrainingConfig, seed: int) -> Tuple[float, Dict[str, floa
     """Max relative error over all parameters for one configuration, whose
     loss settings reach the forward and the loss as in ``train.train_event``.
 
-    Biases are nudged off their zero init so no relu pre-activation sits
-    exactly on the kink, where central differences straddle the subgradient.
-    The probe step is small for the same reason.  A case that reaches
-    ``TOLERANCE`` is probed again at ten times the step, and each tensor keeps
-    its smaller error: round-off in the difference quotient grows as the step
-    shrinks, while a wrong gradient is wrong at both steps.
+    All probes of all parameter entries run in one batched forward and loss
+    call.  Biases are nudged off their zero init so no relu pre-activation
+    sits exactly on the kink, where central differences straddle the
+    subgradient.  The probe step is small for the same reason.  A case that
+    reaches ``TOLERANCE`` is probed again at ten times the step, in a second
+    call, and each tensor keeps its smaller error: round-off in the difference
+    quotient grows as the step shrinks, while a wrong gradient is wrong at both.
     """
     rng = np.random.default_rng(seed)
     params = init_params(TOY_MODEL, int(rng.integers(2**63)))
@@ -102,7 +104,7 @@ def check_case(config: TrainingConfig, seed: int) -> Tuple[float, Dict[str, floa
 
     analytic = backward(forward(params), params, *loss_args)
 
-    def loss_fn(p: ModelParams) -> float:
+    def loss_fn(p: ModelParams) -> np.ndarray:
         return total_loss(forward(p), *loss_args).total
 
     errs = relative_errors(analytic, finite_diff_gradient(loss_fn, params, h=PROBE_STEP))

@@ -5,7 +5,6 @@ combined objective via reverse accumulation through the cached forward.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,8 @@ BCE_CLAMP = 1e-7
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """Loss terms; arrays over the probe axes of a forward with probe axes."""
+
     mm: float
     bce_pos: float
     bce_neg: float
@@ -38,17 +39,19 @@ _VARIANT_OPS = {
 VARIANTS = tuple(_VARIANT_OPS)
 
 
-def _hinge(ep: np.ndarray, en: np.ndarray, eps: float, variant: str) -> tuple[float, int, int]:
-    """Hinge of the ranking loss over one positive and one negative score
-    sequence, and the index each statistic selects; ties go to the lowest
-    index, and a NaN score propagates to the hinge."""
+def _hinge(ep: np.ndarray, en: np.ndarray, eps: float, variant: str):
+    """Hinge of the ranking loss over positive and negative score sequences on
+    the last axis, and the index each statistic selects, over any leading axes;
+    ties go to the lowest index, and a NaN score propagates to the hinge."""
     try:
         pos_max, neg_max = _VARIANT_OPS[variant]
     except KeyError:
         raise ConfigError(f"unknown ranking loss variant {variant!r}") from None
-    ip = int(ep.argmax() if pos_max else ep.argmin())
-    jn = int(en.argmax() if neg_max else en.argmin())
-    return float(np.maximum(0.0, eps - ep[ip] + en[jn])), ip, jn
+    ip = ep.argmax(axis=-1) if pos_max else ep.argmin(axis=-1)
+    jn = en.argmax(axis=-1) if neg_max else en.argmin(axis=-1)
+    sp = np.take_along_axis(ep, ip[..., None], axis=-1)[..., 0]
+    sn = np.take_along_axis(en, jn[..., None], axis=-1)[..., 0]
+    return np.maximum(0.0, eps - sp + sn), ip, jn
 
 
 def variant_ranking_loss(ep, en, eps: float, variant: str) -> float:
@@ -58,7 +61,7 @@ def variant_ranking_loss(ep, en, eps: float, variant: str) -> float:
     en = np.asarray(en, dtype=np.float64)
     if ep.size == 0 or en.size == 0:
         raise DataError("ranking loss needs nonempty score sequences")
-    return _hinge(ep, en, eps, variant)[0]
+    return float(_hinge(ep, en, eps, variant)[0])
 
 
 def mm_ranking_loss(ep, en, eps: float) -> float:
@@ -66,17 +69,18 @@ def mm_ranking_loss(ep, en, eps: float) -> float:
 
 
 def bce(y: float, label: int) -> float:
-    y = min(max(float(y), BCE_CLAMP), 1.0 - BCE_CLAMP)
+    """Clamped binary cross-entropy, elementwise over an array of probabilities."""
+    y = np.minimum(np.maximum(y, BCE_CLAMP), 1.0 - BCE_CLAMP)
     if label == 1:
-        return -math.log(y)
+        return -np.log(y)
     if label == 0:
-        return -math.log(1.0 - y)
+        return -np.log(1.0 - y)
     raise ConfigError(f"binary label must be 0 or 1, got {label!r}")
 
 
 def _check_pair(fwd: StackedForward) -> None:
-    if len(fwd.norm_scores) != 2:
-        raise ShapeError(f"{len(fwd.norm_scores)} stacked bags, expected one positive and one negative")
+    if fwd.norm_scores.shape[-2] != 2:
+        raise ShapeError(f"{fwd.norm_scores.shape[-2]} stacked bags, expected one positive and one negative")
 
 
 def total_loss(
@@ -87,13 +91,15 @@ def total_loss(
     ablate_bcm: bool = False,
 ) -> LossBreakdown:
     """Loss of a stacked forward over two bags: bag 0 is the positive, bag 1
-    the negative."""
+    the negative.  A forward over parameters with leading probe axes gives
+    one loss per probe."""
     if ablate_mm and ablate_bcm:
         raise ConfigError("ablating both the ranking and classification terms leaves no objective")
     _check_pair(fwd)
-    mm = 0.0 if ablate_mm else variant_ranking_loss(fwd.norm_scores[0], fwd.norm_scores[1], eps, variant)
-    bp = 0.0 if ablate_bcm else bce(fwd.event_prob[0], 1)
-    bn = 0.0 if ablate_bcm else bce(fwd.event_prob[1], 0)
+    e = fwd.norm_scores
+    mm = 0.0 if ablate_mm else _hinge(e[..., 0, :], e[..., 1, :], eps, variant)[0]
+    bp = 0.0 if ablate_bcm else bce(fwd.event_prob[..., 0], 1)
+    bn = 0.0 if ablate_bcm else bce(fwd.event_prob[..., 1], 0)
     return LossBreakdown(mm=mm, bce_pos=bp, bce_neg=bn)
 
 

@@ -5,7 +5,9 @@ normalization, score-weighted bag pooling, and a two-way bag event classifier.
 Parameters live in a flat name -> ndarray mapping so that the optimizer,
 checkpoints, and the finite-difference oracle can treat them uniformly; they
 are float32 while training and float64 everywhere else.  Weight matrices are
-(out, in); a batch X of shape (N, in) is transformed as X @ W.T + b.
+(out, in); a batch X of shape (N, in) is transformed as X @ W.T + b, over any
+leading probe axes of W (..., out, in) and b (..., out): the forward then runs
+one network per probe, and its outputs gain those axes.
 """
 
 from __future__ import annotations
@@ -136,9 +138,9 @@ class StackedForward:
     """Every intermediate of one forward pass over B bags of N instances,
     cached for the backward.
 
-    Outputs carry a leading bag axis.  The per-instance caches are flat, with
-    bag ``b`` in rows ``b*N`` to ``(b+1)*N``.  The classifier head fields are
-    None when the forward ran without it.
+    Outputs carry any probe axes, then a bag axis.  The per-instance caches
+    are flat, with bag ``b`` in rows ``b*N`` to ``(b+1)*N``.  The classifier
+    head fields are None when the forward ran without it.
     """
 
     fused: np.ndarray  # (B, N, fused_dim)
@@ -170,13 +172,13 @@ class BagForward:
     event_prob: float
 
 
-def _dense_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """relu(x @ w.T + b), with the bias and the relu applied in place on the
-    matmul output: the same operations in the same order as the expression,
-    without its two temporaries."""
-    z = x @ w.T
-    z += b
-    return relu(z, out=z)
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: bool = False) -> np.ndarray:
+    """x @ w.T + b over any probe axes of ``w`` and ``b``, then relu if ``act``.
+    The bias and the relu are applied in place on the matmul output: the same
+    operations in the same order as the expression, without its temporaries."""
+    z = x @ w.swapaxes(-1, -2)
+    z += b[..., None, :]
+    return relu(z, out=z) if act else z
 
 
 def forward_stacked(
@@ -210,38 +212,34 @@ def forward_stacked(
     if ablation.no_vision:
         proj_hidden = None
         base = a
-        cat = np.concatenate([a, a], axis=1)
+        cat = np.concatenate([a, a], axis=-1)
     else:
-        proj_hidden = _dense_relu(v, t["wv1"], t["bv1"])
-        base = proj_hidden @ t["wv2"].T
-        base += t["bv2"]
-        cat = np.concatenate([base, base if ablation.no_audio else a], axis=1)
+        proj_hidden = _dense(v, t["wv1"], t["bv1"], act=True)
+        base = _dense(proj_hidden, t["wv2"], t["bv2"])
+        cat = np.concatenate([base, base if ablation.no_audio else np.broadcast_to(a, base.shape)], axis=-1)
 
     z1s, z2s, outs = [], [], []
     for j in range(cfg.k):
-        z1 = _dense_relu(cat, t[f"f{j}_w1"], t[f"f{j}_b1"])
-        z2 = _dense_relu(z1, t[f"f{j}_w2"], t[f"f{j}_b2"])
-        out = z2 @ t[f"f{j}_w3"].T
-        out += t[f"f{j}_b3"]
-        outs.append(out)
+        z1 = _dense(cat, t[f"f{j}_w1"], t[f"f{j}_b1"], act=True)
+        z2 = _dense(z1, t[f"f{j}_w2"], t[f"f{j}_b2"], act=True)
+        outs.append(_dense(z2, t[f"f{j}_w3"], t[f"f{j}_b3"]))
         z1s.append(z1)
         z2s.append(z2)
-    fused = np.concatenate(outs, axis=1)
+    fused = np.concatenate(outs, axis=-1)
     fused += base
-    score_hidden = _dense_relu(fused, t["ws"], t["bs"])
-    raw = score_hidden @ t["wh"].T
-    raw += t["bh"]
-    raw = raw.reshape(n_bags, n)
+    score_hidden = _dense(fused, t["ws"], t["bs"], act=True)
+    raw = _dense(score_hidden, t["wh"], t["bh"])
+    raw = raw.reshape(raw.shape[:-2] + (n_bags, n))
     require_finite(raw, "raw scores")
     norm = stable_softmax(raw)
-    fused = fused.reshape(n_bags, n, cfg.fused_dim)
+    fused = fused.reshape(fused.shape[:-2] + (n_bags, n, cfg.fused_dim))
 
     fb = cls_hidden = probs = event_prob = None
     if head:
-        fb = np.matmul(norm[:, None, :], fused)[:, 0, :]
-        cls_hidden = _dense_relu(fb, t["wc1"], t["bc1"])
-        probs = stable_softmax(cls_hidden @ t["wc2"].T + t["bc2"])
-        event_prob = probs[:, 1]
+        fb = np.matmul(norm[..., None, :], fused)[..., 0, :]
+        cls_hidden = _dense(fb, t["wc1"], t["bc1"], act=True)
+        probs = stable_softmax(_dense(cls_hidden, t["wc2"], t["bc2"]))
+        event_prob = probs[..., 1]
     return StackedForward(
         fused=fused,
         raw_scores=raw,

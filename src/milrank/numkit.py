@@ -7,7 +7,7 @@ training, float64 otherwise), and softmax sums always accumulate in float64.
 
 from __future__ import annotations
 
-import math
+import copy
 from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
@@ -36,35 +36,39 @@ def require_finite(a: np.ndarray, what: str) -> None:
         raise NumericError(f"non-finite values in {what}")
 
 
-def finite_diff_gradient(
-    loss_fn: Callable[[object], float],
-    params,
-    h: float = 1e-3,
-) -> GradientSet:
+def finite_diff_gradient(loss_fn: Callable[[object], np.ndarray], params, h: float = 1e-3) -> GradientSet:
     """Central-difference gradient of a scalar loss over every parameter entry.
 
     ``params`` is any object exposing a ``tensors`` mapping of name -> float64
-    ndarray.  The per-entry step is ``h * max(1, |theta|)``.  Entries are
-    perturbed in place and restored, so ``loss_fn`` must be a pure function of
-    the parameter values.
+    ndarray; it is never written.  The per-entry step is ``h * max(1, |theta|)``.
+    With M entries in all, ``loss_fn`` is called once, on a shallow copy of
+    ``params`` whose tensors carry a leading axis of 2M probes (2M^2 values):
+    probe ``i`` moves entry ``i`` (in mapping order, row-major) by +step and
+    probe ``M + i`` by -step.  It must return the 2M losses.
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     tensors: Mapping[str, np.ndarray] = params.tensors
-    grads: GradientSet = {}
-    for name, tensor in tensors.items():
-        flat = tensor.reshape(-1)
-        g = np.zeros(flat.shape, dtype=np.float64)
-        for i in range(flat.size):
-            orig = flat[i]
-            step = h * max(1.0, abs(float(orig)))
-            flat[i] = orig + step
-            lp = float(loss_fn(params))
-            flat[i] = orig - step
-            lm = float(loss_fn(params))
-            flat[i] = orig
-            if not (math.isfinite(lp) and math.isfinite(lm)):
-                raise NumericError(f"non-finite loss while probing {name}[{i}]")
-            g[i] = (lp - lm) / (2.0 * step)
-        grads[name] = g.reshape(tensor.shape)
-    return grads
+    offsets = np.cumsum([0] + [t.size for t in tensors.values()])
+
+    def split(a: np.ndarray) -> GradientSet:  # each tensor's part of the last axis of a
+        return {name: a[..., lo : lo + t.size].reshape(a.shape[:-1] + t.shape)
+                for (name, t), lo in zip(tensors.items(), offsets)}
+
+    theta = np.concatenate([t.reshape(-1) for t in tensors.values()])
+    m = theta.size
+    step = h * np.maximum(1.0, np.abs(theta))
+    flat = np.tile(theta, (2 * m, 1))
+    diag = np.arange(m)
+    flat[diag, diag] += step
+    flat[m + diag, diag] -= step
+    probe = copy.copy(params)
+    probe.tensors = split(flat)
+    losses = np.asarray(loss_fn(probe), dtype=np.float64)
+    if losses.shape != (2 * m,):
+        raise ShapeError(f"loss_fn returned shape {losses.shape}, expected one loss per probe {(2 * m,)}")
+    if not np.isfinite(losses).all():
+        bad = ~(np.isfinite(losses[:m]) & np.isfinite(losses[m:]))
+        name, entries = next((name, b) for name, b in split(bad).items() if b.any())
+        raise NumericError(f"non-finite loss while probing {name}[{int(entries.argmax())}]")
+    return split((losses[:m] - losses[m:]) / (2.0 * step))

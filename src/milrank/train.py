@@ -373,8 +373,14 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(
                 f"{path}: tensor {name} has shape {p_tensors[name].shape}, expected {shape}"
             )
-    if set(v_tensors) != expected or any(v_tensors[k].shape != p_tensors[k].shape for k in expected):
-        raise FormatError(f"{path}: velocity tensors do not match the parameter tensors")
+    odd = {
+        "missing": sorted(expected - v_tensors.keys()),
+        "extra": sorted(v_tensors.keys() - expected),
+        "misshapen": sorted(k for k in expected & v_tensors.keys() if v_tensors[k].shape != p_tensors[k].shape),
+    }
+    if any(odd.values()):
+        detail = "; ".join(f"{kind} {names}" for kind, names in odd.items() if names)
+        raise FormatError(f"{path}: velocity tensors do not match the parameter tensors: {detail}")
     params = ModelParams(config.model, p_tensors)
     params.version = counters["params_version"]
     state = OptimizerState(velocity=v_tensors, step=counters["step"], epoch=counters["epoch"])

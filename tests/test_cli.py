@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import shift_one_entry
 import milrank
 from milrank.cli import build_parser, main
 from milrank.data import read_manifest, write_feature_file
@@ -535,6 +536,17 @@ class TestGradcheckCommand:
         assert code == 1
         assert captured.out == "max-max\t1.000e-09\nmin-max\t1.000e-04\n"
         assert captured.err == "FAILED: min-max exceed 0.0001\n"
+
+    def test_wrong_backward_fails(self, capsys, monkeypatch):
+        """A backward wrong in one entry of one tensor fails every case, since
+        every case trains the first fusion branch."""
+        monkeypatch.setattr(milrank.gradcheck, "backward", shift_one_entry(milrank.gradcheck.backward))
+        code = main(["gradcheck", "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        errors = [float(line.split("\t")[1]) for line in captured.out.splitlines()]
+        assert len(errors) == 27 and min(errors) >= milrank.cli.TOLERANCE
+        assert captured.err.startswith("FAILED: ")
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_no_seeds_is_usage_error(self, capsys, seeds):

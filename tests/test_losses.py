@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_bag
+from conftest import TOY, probe_stack, random_bag, shift_one_entry
 from milrank.data import Bag
 from milrank.errors import ConfigError, DataError, ShapeError
+from milrank import gradcheck
 from milrank.gradcheck import TOLERANCE, TOY_MODEL, check_case
 from milrank.losses import (
     VARIANTS,
@@ -145,6 +146,38 @@ class TestTotalLoss:
             total_loss(fwd, 1.0, ablate_mm=True, ablate_bcm=True)
 
 
+class TestBatchedTotalLoss:
+    """A forward over parameters with a leading probe axis gives one loss per
+    probe, equal to that probe's own loss."""
+
+    @pytest.mark.parametrize(
+        "variant,ablate_mm,ablate_bcm",
+        [(v, False, False) for v in VARIANTS] + [("max-max", True, False), ("max-max", False, True)],
+    )
+    def test_matches_each_probe(self, toy_params, rng, variant, ablate_mm, ablate_bcm):
+        n_probes = 5
+        probes, stacked = probe_stack(toy_params, rng, n_probes, scale=0.2)
+        vision, audio = rng.standard_normal((2, 5, TOY.dv)), rng.standard_normal((2, 5, TOY.da))
+        args = (1.0, variant, ablate_mm, ablate_bcm)
+        batched = total_loss(forward_stacked(vision, audio, stacked, head=not ablate_bcm), *args)
+        assert np.shape(batched.total) == (n_probes,)
+        for i, probe in enumerate(probes):
+            one = total_loss(forward_stacked(vision, audio, probe, head=not ablate_bcm), *args)
+            for term in ("mm", "bce_pos", "bce_neg", "total"):
+                got = np.broadcast_to(getattr(batched, term), (n_probes,))[i]
+                np.testing.assert_allclose(got, getattr(one, term), rtol=1e-12, atol=0, err_msg=term)
+
+    def test_hinge_selects_per_probe(self):
+        """Each probe's statistic comes from its own scores: a hand-built stack
+        of two probes whose maxima sit at different instances."""
+        scores = np.array([[[0.7, 0.2, 0.1], [0.3, 0.3, 0.4]], [[0.1, 0.1, 0.8], [0.6, 0.2, 0.2]]])
+        for variant in VARIANTS:
+            expected = [variant_ranking_loss(pair[0], pair[1], 1.0, variant) for pair in scores]
+            fwd = forward_stacked(np.zeros((2, 3, TOY.dv)), np.zeros((2, 3, TOY.da)), init_params(TOY, 0), head=False)
+            fwd.norm_scores = scores
+            assert list(total_loss(fwd, 1.0, variant, ablate_bcm=True).mm) == expected
+
+
 class TestBackward:
     def test_saturated_hinge_no_bcm_zero_gradient(self, toy_params, rng):
         # eps = 0 saturates the hinge for whichever bag scores higher
@@ -205,6 +238,19 @@ class TestBackward:
         config = TrainingConfig(model=TOY_MODEL, loss_variant="min-max", no_audio=True)
         err, _ = check_case(config, seed=100030)
         assert err < TOLERANCE
+
+
+class TestOracleCatchesAWrongBackward:
+    """The finite-difference check fails a backward that is wrong in a single
+    entry, and names the tensor."""
+
+    @pytest.mark.parametrize("modality", [{}, {"no_audio": True}, {"no_vision": True}])
+    @pytest.mark.parametrize("terms", [{}, {"no_mmrl": True}, {"no_bcm": True}])
+    def test_shifted_entry_fails_its_tensor(self, monkeypatch, modality, terms):
+        monkeypatch.setattr(gradcheck, "backward", shift_one_entry(gradcheck.backward))
+        err, errs = check_case(TrainingConfig(model=TOY_MODEL, **modality, **terms), seed=0)
+        assert err >= TOLERANCE and errs["f0_w2"] >= TOLERANCE
+        assert max(e for name, e in errs.items() if name != "f0_w2") < TOLERANCE
 
 
 class TestFloat32Backward:

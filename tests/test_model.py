@@ -1,9 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import TOY, random_bag
+from conftest import TOY, probe_stack, random_bag
 from milrank.data import Bag, VideoRecord
 from milrank.errors import ConfigError, NumericError, ShapeError
 from milrank.model import (
@@ -11,6 +12,7 @@ from milrank.model import (
     Ablation,
     ModelConfig,
     ModelParams,
+    StackedForward,
     forward_bag,
     forward_stacked,
     init_params,
@@ -260,6 +262,38 @@ class TestStackedForward:
         assert np.allclose(fwd.norm_scores.sum(axis=1), 1.0, atol=1e-12)
         for i in range(3):
             assert np.allclose(fwd.norm_scores[i], stable_softmax(fwd.raw_scores[i]), atol=1e-15)
+
+
+class TestProbeAxes:
+    """Parameters with a leading probe axis run one network per probe."""
+
+    @pytest.mark.parametrize("head", [True, False], ids=["head", "no-head"])
+    @pytest.mark.parametrize("ablation", MODALITIES, ids=["full", "no-audio", "no-vision"])
+    def test_matches_each_probe_field_by_field(self, toy_params, rng, ablation, head):
+        probes, stacked = probe_stack(toy_params, rng, 4)
+        vision, audio = rng.standard_normal((2, 5, TOY.dv)), rng.standard_normal((2, 5, TOY.da))
+        batched = forward_stacked(vision, audio, stacked, ablation, head=head)
+        assert batched.raw_scores.shape == (4, 2, 5)
+        for i, probe in enumerate(probes):
+            one = forward_stacked(vision, audio, probe, ablation, head=head)
+            for field in dataclasses.fields(StackedForward):
+                got, want = getattr(batched, field.name), getattr(one, field.name)
+                if field.name in ("ablation", "params_version") or want is None:
+                    assert got == want, field.name
+                    continue
+                for g, w in zip(got, want) if isinstance(want, list) else [(got, want)]:
+                    # inputs and the no-vision branch input do not depend on the parameters
+                    g = g[i] if g.ndim == w.ndim + 1 else g
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15, err_msg=field.name)
+
+    def test_probe_axes_in_any_number(self, toy_params, rng):
+        _, stacked = probe_stack(toy_params, rng, 6)
+        grid = ModelParams(TOY, {k: v.reshape((2, 3) + v.shape[1:]) for k, v in stacked.tensors.items()})
+        vision, audio = rng.standard_normal((2, 5, TOY.dv)), rng.standard_normal((2, 5, TOY.da))
+        fwd = forward_stacked(vision, audio, grid)
+        assert fwd.event_prob.shape == (2, 3, 2) and fwd.fused.shape == (2, 3, 2, 5, TOY.fused_dim)
+        flat = forward_stacked(vision, audio, stacked)
+        np.testing.assert_allclose(fwd.event_prob.reshape(6, 2), flat.event_prob, rtol=1e-12, atol=0)
 
 
 class TestComputeDtype:

@@ -60,41 +60,111 @@ class TestStableSoftmax:
             assert np.argmax(stable_softmax(x)) == np.argmax(x)
 
 
-class _ScalarParams:
-    """Single-parameter holder so the oracle can probe plain functions."""
+class _Params:
+    """A ``tensors`` holder so the oracle can probe plain functions."""
 
-    def __init__(self, value):
-        self.tensors = {"theta": np.array([value], dtype=np.float64)}
+    def __init__(self, **tensors):
+        self.tensors = {name: np.array(value, dtype=np.float64) for name, value in tensors.items()}
+
+
+def _scalar(value):
+    return _Params(theta=[value])
 
 
 class TestFiniteDiff:
+    """``loss_fn`` gets every probe at once, stacked on a leading axis, and
+    returns one loss per probe."""
+
     def test_quadratic(self):
-        g = finite_diff_gradient(lambda p: float(p.tensors["theta"][0] ** 2), _ScalarParams(3.0))
+        g = finite_diff_gradient(lambda p: p.tensors["theta"][:, 0] ** 2, _scalar(3.0))
         assert abs(g["theta"][0] - 6.0) < 1e-6
 
     def test_constant(self):
-        g = finite_diff_gradient(lambda p: 7.0, _ScalarParams(2.0))
+        g = finite_diff_gradient(lambda p: np.full(len(p.tensors["theta"]), 7.0), _scalar(2.0))
         assert g["theta"][0] == 0.0
 
     def test_linear(self):
         for theta in (-2.0, 0.0, 5.0):
-            g = finite_diff_gradient(
-                lambda p: 5.0 * float(p.tensors["theta"][0]), _ScalarParams(theta)
-            )
+            g = finite_diff_gradient(lambda p: 5.0 * p.tensors["theta"][:, 0], _scalar(theta))
             assert abs(g["theta"][0] - 5.0) < 1e-9
+
+    def test_matrix_and_vector_entries(self):
+        """d/dW of sum(W @ x) + b . b is x in every row and 2b; each tensor's
+        gradient comes back in its own shape."""
+        x = np.array([1.0, -2.0, 0.5])
+        params = _Params(w=np.arange(6.0).reshape(2, 3), b=[1.5, -4.0])
+
+        def loss(p):
+            return (p.tensors["w"] @ x).sum(axis=-1) + (p.tensors["b"] ** 2).sum(axis=-1)
+
+        g = finite_diff_gradient(loss, params)
+        assert g["w"].shape == (2, 3) and g["b"].shape == (2,)
+        assert np.allclose(g["w"], np.tile(x, (2, 1)), atol=1e-9)
+        assert np.allclose(g["b"], [3.0, -8.0], rtol=1e-6)
+
+    def test_probe_layout(self):
+        """Probe i moves entry i by +h max(1, |theta|) and probe M + i moves it
+        by the same step down; every other entry keeps its value."""
+        params = _Params(w=[[0.5, -3.0]], b=[2.0])
+        seen = []
+
+        def loss(p):
+            seen.append({name: t.copy() for name, t in p.tensors.items()})
+            return np.zeros(6)
+
+        finite_diff_gradient(loss, params, h=1e-3)
+        flat = np.concatenate([seen[0]["w"].reshape(6, -1), seen[0]["b"]], axis=1)
+        theta = np.array([0.5, -3.0, 2.0])
+        step = 1e-3 * np.array([1.0, 3.0, 2.0])
+        assert np.array_equal(flat, np.vstack([theta + np.diag(step), theta - np.diag(step)]))
+
+    def test_loss_fn_called_once(self):
+        calls = []
+
+        def loss(p):
+            calls.append(p)
+            return p.tensors["w"].sum(axis=(1, 2)) + p.tensors["b"][:, 0]
+
+        finite_diff_gradient(loss, _Params(w=np.ones((3, 4)), b=[0.0]))
+        assert len(calls) == 1
+        assert calls[0].tensors["w"].shape == (26, 3, 4) and calls[0].tensors["b"].shape == (26, 1)
+
+    def test_params_left_bit_identical(self):
+        params = _Params(w=[[0.1, -0.0], [1e300, 3.0]], b=[-7.5])
+        arrays = dict(params.tensors)
+        before = {name: t.tobytes() for name, t in arrays.items()}
+        finite_diff_gradient(lambda p: p.tensors["w"].sum(axis=(1, 2)) + p.tensors["b"][:, 0], params)
+        assert params.tensors == arrays  # the same array objects
+        assert {name: t.tobytes() for name, t in params.tensors.items()} == before
 
     def test_nonfinite_loss_identifies_parameter(self):
         def bad(p):
-            return float("nan")
+            return np.full(len(p.tensors["theta"]), float("nan"))
 
-        with pytest.raises(NumericError, match="theta"):
-            finite_diff_gradient(bad, _ScalarParams(1.0))
+        with pytest.raises(NumericError, match=r"theta\[0\]"):
+            finite_diff_gradient(bad, _scalar(1.0))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_nonfinite_probe_names_its_entry(self, sign):
+        """Only one probe, of the fourth entry of w, gives a non-finite loss."""
+        params = _Params(b=[0.0, 0.0], w=np.zeros((2, 3)))
+
+        def loss(p):
+            with np.errstate(divide="ignore"):
+                return np.log(1.0 + sign * 1e3 * p.tensors["w"][:, 1, 0])
+
+        with pytest.raises(NumericError, match=r"non-finite loss while probing w\[3\]$"):
+            finite_diff_gradient(loss, params)
 
     def test_restores_parameters(self):
-        p = _ScalarParams(3.0)
-        finite_diff_gradient(lambda q: float(q.tensors["theta"][0] ** 2), p)
+        p = _scalar(3.0)
+        finite_diff_gradient(lambda q: q.tensors["theta"][:, 0] ** 2, p)
         assert p.tensors["theta"][0] == 3.0
+
+    def test_wrong_loss_shape_rejected(self):
+        with pytest.raises(ShapeError, match="one loss per probe"):
+            finite_diff_gradient(lambda p: 0.0, _scalar(1.0))
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            finite_diff_gradient(lambda p: 0.0, _ScalarParams(1.0), h=0.0)
+            finite_diff_gradient(lambda p: np.zeros(2), _scalar(1.0), h=0.0)

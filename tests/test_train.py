@@ -421,6 +421,7 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("fault", ["none", "missing-one", "extra-one", "wrong-shape"])
     def test_velocities_must_match_parameters(self, tmp_path, fault):
+        """The error names each missing, extra or misshapen velocity tensor."""
         ckpt = self.make_checkpoint()
         velocity = ckpt.state.velocity
         if fault == "none":
@@ -433,7 +434,13 @@ class TestCheckpointIO:
             velocity["bc1"] = np.zeros(velocity["bc1"].size + 1)
         path = tmp_path / "c.mnck"
         save_checkpoint(path, ckpt)
-        with pytest.raises(FormatError, match="c.mnck: velocity"):
+        names = {
+            "none": r"missing \['bc1', 'bc2', 'bh', 'bs', 'bv1', 'bv2', 'f0_b1', .*, 'wv2'\]",
+            "missing-one": r"missing \['bc1'\]",
+            "extra-one": r"extra \['extra'\]",
+            "wrong-shape": r"misshapen \['bc1'\]",
+        }[fault]
+        with pytest.raises(FormatError, match=f"c.mnck: velocity tensors do not match the parameter tensors: {names}$"):
             load_checkpoint(path)
 
     def test_flipped_payload_bit_detected(self, tmp_path):
