@@ -49,8 +49,8 @@ def _hinge(ep: np.ndarray, en: np.ndarray, eps: float, variant: str):
         raise ConfigError(f"unknown ranking loss variant {variant!r}") from None
     ip = ep.argmax(axis=-1) if pos_max else ep.argmin(axis=-1)
     jn = en.argmax(axis=-1) if neg_max else en.argmin(axis=-1)
-    sp = np.take_along_axis(ep, ip[..., None], axis=-1)[..., 0]
-    sn = np.take_along_axis(en, jn[..., None], axis=-1)[..., 0]
+    sp = ep.max(axis=-1) if pos_max else ep.min(axis=-1)
+    sn = en.max(axis=-1) if neg_max else en.min(axis=-1)
     return np.maximum(0.0, eps - sp + sn), ip, jn
 
 

@@ -210,13 +210,13 @@ def forward_stacked(
     a = a.reshape(n_bags * n, cfg.da)
 
     if ablation.no_vision:
-        proj_hidden = None
-        base = a
+        proj_hidden, base = None, a
         cat = np.concatenate([a, a], axis=-1)
     else:
         proj_hidden = _dense(v, t["wv1"], t["bv1"], act=True)
         base = _dense(proj_hidden, t["wv2"], t["bv2"])
-        cat = np.concatenate([base, base if ablation.no_audio else np.broadcast_to(a, base.shape)], axis=-1)
+        a = a if a.ndim == base.ndim else np.broadcast_to(a, base.shape)  # probe axes on the weights only
+        cat = np.concatenate([base, base if ablation.no_audio else a], axis=-1)
 
     z1s, z2s, outs = [], [], []
     for j in range(cfg.k):

@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the benchmark, written to BENCH_<n>.json.
 
     python3 tools/pairs.py --parent REV --workload W [--workload W2 ...] --pairs N --seeds S [S ...]
-                           [--seconds 30] [--out BENCH_<n>.json]
+                           [--out BENCH_<n>.json]
 
 The parent revision is checked out with ``git worktree add`` in a temporary
 directory (removed afterwards); the change is the working tree this script
@@ -9,12 +9,15 @@ lives in.  For every workload, pair ``i`` runs
 
     python3 bench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
-once in each tree, one after the other, with seed ``S = seeds[i % len(seeds)]``.
-The parent runs first in even pairs and second in odd ones, so a drift of the
-host's speed over the run falls on both trees alike.  The output holds
-every run's end-to-end metrics, each metric's median and quartiles per tree,
-the count of pairs the change won (by the direction ``BENCHMARK.json`` gives),
-and a host line: usable CPUs, the numpy version and its BLAS.
+once in each tree, one after the other, with seed ``S = seeds[(i - 1) % len(seeds)]``
+and SECONDS the ``run_seconds`` of ``BENCHMARK.json``.  The parent runs first
+in odd pairs (1, 3, ...) and second in even ones, so a drift of the host's
+speed over the run falls on both trees alike.  The output holds every run's
+end-to-end metrics, each tree's total of attempted and failed operations,
+each metric's median and quartiles per tree, the count of pairs the change
+won (by the direction ``BENCHMARK.json`` gives), and a host line: usable
+CPUs, the numpy version and its BLAS.  A pair counts toward the medians and
+wins only when both its runs exited 0 and ``bench/run.py`` judged them correct.
 """
 
 from __future__ import annotations
@@ -72,26 +75,40 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def usable(run: dict) -> bool:
+    return run["exit_code"] == 0 and run["correct"] is True
+
+
 def summarize(runs: list, metrics: list) -> dict:
-    """Per metric: each tree's median and quartiles, the change's median over
-    the parent's, and the pairs the change won."""
-    out = {}
+    """Each tree's operations over its runs that exited 0, the pairs whose two
+    runs are both usable, and per metric over those pairs: each tree's median
+    and quartiles, the change's median over the parent's, and the pairs the
+    change won."""
+    trees = ("parent", "change")
     pairs = sorted({r["pair"] for r in runs})
+    kept = [p for p in pairs if all(usable(r) for r in runs if r["pair"] == p)
+            and {r["tree"] for r in runs if r["pair"] == p} == set(trees)]
+    out = {
+        "operations": {tree: {k: sum(r[k] for r in runs if r["tree"] == tree and r["exit_code"] == 0)
+                              for k in ("attempted", "failed")} for tree in trees},
+        "pairs_kept": kept,
+        "metrics": {},
+    }
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         by_tree = {tree: {r["pair"]: r["metrics"][name] for r in runs
-                          if r["tree"] == tree and name in r.get("metrics", {})} for tree in ("parent", "change")}
+                          if r["tree"] == tree and r["pair"] in kept and name in r["metrics"]} for tree in trees}
         both = [p for p in pairs if p in by_tree["parent"] and p in by_tree["change"]]
         if not both:
             continue
         wins = sum((by_tree["change"][p] > by_tree["parent"][p]) == higher
                    and by_tree["change"][p] != by_tree["parent"][p] for p in both)
         entry = {"unit": m["unit"], "better": m["better"], "pairs": len(both), "change_wins": wins}
-        for tree in ("parent", "change"):
+        for tree in trees:
             entry[tree] = quartiles([by_tree[tree][p] for p in both])
         base = entry["parent"]["median"]
         entry["change_over_parent"] = entry["change"]["median"] / base if base else None
-        out[name] = entry
+        out["metrics"][name] = entry
     return out
 
 
@@ -108,19 +125,19 @@ def main() -> int:
     ap.add_argument("--workload", action="append", required=True, choices=("train", "score", "gradcheck"))
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--out", type=Path, help="output file (default: the next free BENCH_<n>.json)")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
     out_path = args.out or next_bench_path()
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     parent_sha = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     report = {
         "parent": {"rev": args.parent, "sha": parent_sha},
         "change": {"sha": git("rev-parse", "HEAD"), "uncommitted_changes": dirty},
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "host": host_line(),
         "workloads": {},
     }
@@ -131,14 +148,14 @@ def main() -> int:
         trees = {"parent": parent_tree, "change": ROOT}
         for workload in args.workload:
             runs = []
-            for i in range(args.pairs):
-                seed = args.seeds[i % len(args.seeds)]
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for pair in range(1, args.pairs + 1):
+                seed = args.seeds[(pair - 1) % len(args.seeds)]
+                order = ("parent", "change") if pair % 2 == 1 else ("change", "parent")
                 for position, tree in enumerate(order, start=1):
-                    run = bench_run(trees[tree], workload, seed, args.seconds)
-                    runs.append({"pair": i + 1, "seed": seed, "tree": tree, "position": position, **run})
+                    run = bench_run(trees[tree], workload, seed, seconds)
+                    runs.append({"pair": pair, "seed": seed, "tree": tree, "position": position, **run})
                     shown = {k: round(v, 4) for k, v in run.get("metrics", {}).items()}
-                    print(f"{workload} pair {i + 1} seed {seed} {tree}: {shown or run}", file=sys.stderr)
+                    print(f"{workload} pair {pair} seed {seed} {tree}: {shown or run}", file=sys.stderr)
             report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, metrics)}
             out_path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     finally:
