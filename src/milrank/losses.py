@@ -114,6 +114,19 @@ def _bce_grad(y: float, label: int) -> float:
     return -1.0 / y if label == 1 else 1.0 / (1.0 - y)
 
 
+def _dense_grad(grads: GradientSet, fwd: StackedForward, t: dict, w: str, b: str, d_z: np.ndarray, relu_input=False):
+    """The reverse of ``model._dense``: from the gradient ``d_z`` of its output,
+    the layer's weight and bias gradients go into ``grads``; returns the
+    gradient of its cached input, masked by ``x > 0`` if that is a relu output."""
+    x = fwd.layer_inputs[w]
+    grads[w] = d_z.T @ x
+    grads[b] = d_z.sum(axis=0)
+    d_x = d_z @ t[w]
+    if relu_input:
+        d_x *= x > 0
+    return d_x
+
+
 def backward(
     fwd: StackedForward,
     params: ModelParams,
@@ -123,7 +136,8 @@ def backward(
     ablate_bcm: bool = False,
 ) -> GradientSet:
     """Exact gradient of ``total_loss`` with respect to every parameter, in
-    one reverse pass over the stacked forward.
+    one reverse pass over the stacked forward; zero for the parameters of a
+    layer that did not run or of an ablated loss term.
 
     The hinge uses subgradient 0 at the kink; the max/min selections route
     gradient only through the selected instance, while the in-bag softmax
@@ -135,12 +149,9 @@ def backward(
     if ablate_mm and ablate_bcm:
         raise ConfigError("ablating both the ranking and classification terms leaves no objective")
     t = params.tensors
-    cfg = params.config
     _check_pair(fwd)
     e = fwd.norm_scores  # (2, N)
-    n_bags, n = e.shape
-    fused = fwd.fused.reshape(n_bags * n, cfg.fused_dim)
-    dtype = fused.dtype
+    dtype = fwd.fused.dtype
     grads: GradientSet = {}
 
     d_norm = np.zeros_like(e)
@@ -150,70 +161,39 @@ def backward(
             d_norm[0, ip] = -1.0
             d_norm[1, jn] = 1.0
 
-    # classifier head: event_prob = softmax(logits)[:, 1]
-    if ablate_bcm:
-        for name in ("wc2", "bc2", "wc1", "bc1"):
-            grads[name] = np.zeros_like(t[name])
-        d_fused = np.zeros_like(fused)
-    else:
+    if not ablate_bcm:
+        # classifier head: event_prob = softmax(logits)[:, 1]
         p = fwd.cls_probs
         d_prob = np.array([_bce_grad(p[0, 1], 1), _bce_grad(p[1, 1], 0)])
         d_logits = (d_prob * p[:, 1])[:, None] * (np.array([0.0, 1.0]) - p)
-        d_logits = d_logits.astype(dtype, copy=False)
-        grads["wc2"] = d_logits.T @ fwd.cls_hidden
-        grads["bc2"] = d_logits.sum(axis=0)
-        d_ch = d_logits @ t["wc2"]
-        d_ch *= fwd.cls_hidden > 0
-        grads["wc1"] = d_ch.T @ fwd.bag_feature
-        grads["bc1"] = d_ch.sum(axis=0)
-        d_fb = d_ch @ t["wc1"]  # (B, fused_dim)
+        d_ch = _dense_grad(grads, fwd, t, "wc2", "bc2", d_logits.astype(dtype, copy=False), relu_input=True)
+        d_fb = _dense_grad(grads, fwd, t, "wc1", "bc1", d_ch)  # (B, fused_dim)
         # bag feature: fB = sum_i E_i f_i
         d_norm += np.matmul(fwd.fused, d_fb[:, :, None])[:, :, 0]
-        d_fused = (e.astype(dtype, copy=False)[:, :, None] * d_fb[:, None, :]).reshape(fused.shape)
 
     # in-bag softmax over raw scores (full Jacobian)
-    d_raw = (e * (d_norm - (d_norm * e).sum(axis=1, keepdims=True))).reshape(-1).astype(dtype, copy=False)
+    d_raw = (e * (d_norm - (d_norm * e).sum(axis=1, keepdims=True))).reshape(-1, 1).astype(dtype, copy=False)
 
     # scorer: raw = wh relu(ws f + bs) + bh
-    grads["wh"] = (d_raw @ fwd.score_hidden)[None, :]
-    grads["bh"] = np.array([d_raw.sum()])
-    d_sh = np.outer(d_raw, t["wh"].ravel())
-    d_sh *= fwd.score_hidden > 0
-    grads["ws"] = d_sh.T @ fused
-    grads["bs"] = d_sh.sum(axis=0)
-    d_fused += d_sh @ t["ws"]
+    d_sh = _dense_grad(grads, fwd, t, "wh", "bh", d_raw, relu_input=True)
+    d_fused = _dense_grad(grads, fwd, t, "ws", "bs", d_sh)
+    if not ablate_bcm:
+        d_fused += (e.astype(dtype, copy=False)[:, :, None] * d_fb[:, None, :]).reshape(d_fused.shape)
 
     # fusion: fused = base + concat_j branch_j(cat)
-    d_cat = np.zeros_like(fwd.cat)
-    width = cfg.fused_dim // cfg.k
-    for j in range(cfg.k):
-        d_z3 = d_fused[:, j * width : (j + 1) * width]
-        z1, z2 = fwd.branch_z1[j], fwd.branch_z2[j]
-        grads[f"f{j}_w3"] = d_z3.T @ z2
-        grads[f"f{j}_b3"] = d_z3.sum(axis=0)
-        d_z2 = d_z3 @ t[f"f{j}_w3"]
-        d_z2 *= z2 > 0
-        grads[f"f{j}_w2"] = d_z2.T @ z1
-        grads[f"f{j}_b2"] = d_z2.sum(axis=0)
-        d_z1 = d_z2 @ t[f"f{j}_w2"]
-        d_z1 *= z1 > 0
-        grads[f"f{j}_w1"] = d_z1.T @ fwd.cat
-        grads[f"f{j}_b1"] = d_z1.sum(axis=0)
-        d_cat += d_z1 @ t[f"f{j}_w1"]
+    d_cat = np.zeros_like(fwd.layer_inputs["f0_w1"])
+    for j, d_z3 in enumerate(np.split(d_fused, params.config.k, axis=1)):
+        d_z2 = _dense_grad(grads, fwd, t, f"f{j}_w3", f"f{j}_b3", d_z3, relu_input=True)
+        d_z1 = _dense_grad(grads, fwd, t, f"f{j}_w2", f"f{j}_b2", d_z2, relu_input=True)
+        d_cat += _dense_grad(grads, fwd, t, f"f{j}_w1", f"f{j}_b1", d_z1)
 
-    if fwd.ablation.no_vision:
-        # base and both cat halves are the raw audio input
-        for name in ("wv2", "bv2", "wv1", "bv1"):
-            grads[name] = np.zeros_like(t[name])
-        return grads
-    da = cfg.da
-    d_proj = d_fused + d_cat[:, :da]  # the residual base is the projection
-    if fwd.ablation.no_audio:
-        d_proj += d_cat[:, da:]
-    grads["wv2"] = d_proj.T @ fwd.proj_hidden
-    grads["bv2"] = d_proj.sum(axis=0)
-    d_h = d_proj @ t["wv2"]
-    d_h *= fwd.proj_hidden > 0
-    grads["wv1"] = d_h.T @ fwd.vision
-    grads["bv1"] = d_h.sum(axis=0)
-    return grads
+    if not fwd.ablation.no_vision:
+        d_base, d_audio = np.split(d_cat, 2, axis=1)
+        d_proj = d_fused + d_base  # the residual base is the projection
+        if fwd.ablation.no_audio:
+            d_proj += d_audio
+        d_h = _dense_grad(grads, fwd, t, "wv2", "bv2", d_proj, relu_input=True)
+        # the input layer: the input features need no gradient
+        grads["wv1"] = d_h.T @ fwd.layer_inputs["wv1"]
+        grads["bv1"] = d_h.sum(axis=0)
+    return {name: grads[name] if name in grads else np.zeros_like(theta) for name, theta in t.items()}

@@ -118,9 +118,9 @@ def evaluate_top5_map(
     top-50% rule, averaged over videos."""
     report = EvalReport(event=event, metric="top5-mAP")
     for video in videos:
-        scores = score_video(video, params, ablation)
         if video.labels is None:
             raise DataError(f"{video.video_id}: no importance labels")
+        scores = score_video(video, params, ablation)
         ap = ap_at_k(binarize_importance(video.labels), scores, 5)
         report.per_video.append((video.video_id, ap))
     return report

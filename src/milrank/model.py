@@ -138,9 +138,11 @@ class StackedForward:
     """Every intermediate of one forward pass over B bags of N instances,
     cached for the backward.
 
-    Outputs carry any probe axes, then a bag axis.  The per-instance caches
-    are flat, with bag ``b`` in rows ``b*N`` to ``(b+1)*N``.  The classifier
-    head fields are None when the forward ran without it.
+    Outputs carry any probe axes, then a bag axis.  ``layer_inputs`` maps the
+    weight name of every dense layer that ran to the input it took, so the
+    backward can apply one reverse rule per layer; the per-instance inputs are
+    flat, with bag ``b`` in rows ``b*N`` to ``(b+1)*N``.  The classifier head
+    fields are None, and its layers absent, when the forward ran without it.
     """
 
     fused: np.ndarray  # (B, N, fused_dim)
@@ -148,14 +150,7 @@ class StackedForward:
     norm_scores: np.ndarray  # (B, N), in-bag softmax of raw_scores
     bag_feature: Optional[np.ndarray]  # (B, fused_dim)
     event_prob: Optional[np.ndarray]  # (B,)
-    # caches
-    vision: np.ndarray  # (B*N, dv)
-    proj_hidden: Optional[np.ndarray]  # relu output of the first projection layer
-    cat: np.ndarray  # branch input (B*N, 2*da)
-    branch_z1: List[np.ndarray]
-    branch_z2: List[np.ndarray]
-    score_hidden: np.ndarray  # relu(ws f + bs), (B*N, ds)
-    cls_hidden: Optional[np.ndarray]  # relu(wc1 fB + bc1), (B, hc)
+    layer_inputs: Dict[str, np.ndarray]
     cls_probs: Optional[np.ndarray]  # softmax of the two logits, (B, 2)
     ablation: Ablation
     params_version: int
@@ -172,12 +167,14 @@ class BagForward:
     event_prob: float
 
 
-def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray, act: bool = False) -> np.ndarray:
-    """x @ w.T + b over any probe axes of ``w`` and ``b``, then relu if ``act``.
-    The bias and the relu are applied in place on the matmul output: the same
-    operations in the same order as the expression, without its temporaries."""
-    z = x @ w.swapaxes(-1, -2)
-    z += b[..., None, :]
+def _dense(x: np.ndarray, t: Dict[str, np.ndarray], w: str, b: str, inputs: Dict, act: bool = False) -> np.ndarray:
+    """x @ t[w].T + t[b] over any probe axes of the weights, then relu if
+    ``act``; ``x`` is recorded as ``inputs[w]`` for the backward.  The bias and
+    the relu are applied in place on the matmul output: the same operations in
+    the same order as the expression, without its temporaries."""
+    inputs[w] = x
+    z = x @ t[w].swapaxes(-1, -2)
+    z += t[b][..., None, :]
     return relu(z, out=z) if act else z
 
 
@@ -209,36 +206,35 @@ def forward_stacked(
     v = v.reshape(n_bags * n, cfg.dv)
     a = a.reshape(n_bags * n, cfg.da)
 
+    inputs: Dict[str, np.ndarray] = {}
     if ablation.no_vision:
-        proj_hidden, base = None, a
+        base = a
         cat = np.concatenate([a, a], axis=-1)
     else:
-        proj_hidden = _dense(v, t["wv1"], t["bv1"], act=True)
-        base = _dense(proj_hidden, t["wv2"], t["bv2"])
+        proj_hidden = _dense(v, t, "wv1", "bv1", inputs, act=True)
+        base = _dense(proj_hidden, t, "wv2", "bv2", inputs)
         a = a if a.ndim == base.ndim else np.broadcast_to(a, base.shape)  # probe axes on the weights only
         cat = np.concatenate([base, base if ablation.no_audio else a], axis=-1)
 
-    z1s, z2s, outs = [], [], []
+    outs = []
     for j in range(cfg.k):
-        z1 = _dense(cat, t[f"f{j}_w1"], t[f"f{j}_b1"], act=True)
-        z2 = _dense(z1, t[f"f{j}_w2"], t[f"f{j}_b2"], act=True)
-        outs.append(_dense(z2, t[f"f{j}_w3"], t[f"f{j}_b3"]))
-        z1s.append(z1)
-        z2s.append(z2)
+        z1 = _dense(cat, t, f"f{j}_w1", f"f{j}_b1", inputs, act=True)
+        z2 = _dense(z1, t, f"f{j}_w2", f"f{j}_b2", inputs, act=True)
+        outs.append(_dense(z2, t, f"f{j}_w3", f"f{j}_b3", inputs))
     fused = np.concatenate(outs, axis=-1)
     fused += base
-    score_hidden = _dense(fused, t["ws"], t["bs"], act=True)
-    raw = _dense(score_hidden, t["wh"], t["bh"])
+    score_hidden = _dense(fused, t, "ws", "bs", inputs, act=True)
+    raw = _dense(score_hidden, t, "wh", "bh", inputs)
     raw = raw.reshape(raw.shape[:-2] + (n_bags, n))
     require_finite(raw, "raw scores")
     norm = stable_softmax(raw)
     fused = fused.reshape(fused.shape[:-2] + (n_bags, n, cfg.fused_dim))
 
-    fb = cls_hidden = probs = event_prob = None
+    fb = probs = event_prob = None
     if head:
         fb = np.matmul(norm[..., None, :], fused)[..., 0, :]
-        cls_hidden = _dense(fb, t["wc1"], t["bc1"], act=True)
-        probs = stable_softmax(_dense(cls_hidden, t["wc2"], t["bc2"]))
+        cls_hidden = _dense(fb, t, "wc1", "bc1", inputs, act=True)
+        probs = stable_softmax(_dense(cls_hidden, t, "wc2", "bc2", inputs))
         event_prob = probs[..., 1]
     return StackedForward(
         fused=fused,
@@ -246,13 +242,7 @@ def forward_stacked(
         norm_scores=norm,
         bag_feature=fb,
         event_prob=event_prob,
-        vision=v,
-        proj_hidden=proj_hidden,
-        cat=cat,
-        branch_z1=z1s,
-        branch_z2=z2s,
-        score_hidden=score_hidden,
-        cls_hidden=cls_hidden,
+        layer_inputs=inputs,
         cls_probs=probs,
         ablation=ablation,
         params_version=params.version,

@@ -26,7 +26,7 @@ from .model import (
     init_params,
     zero_like_params,
 )
-from .numkit import GradientSet
+from .numkit import GradientSet, require_finite
 
 MNCK_MAGIC = b"MNCK"
 MNCK_VERSION = 1
@@ -157,6 +157,7 @@ def _make_streams(seed: int):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite value fails its step with a NumericError
 def train_event(
     index: datamod.DatasetIndex,
     interest_event: str,
@@ -203,20 +204,23 @@ def train_event(
             neg = video(negatives[neg_rng.integers(len(negatives))])
             rows_p = datamod.sample_bag(pos, config.bag_size, bag_rng)
             rows_n = datamod.sample_bag(neg, config.bag_size, bag_rng)
-            fwd = forward_stacked(
-                np.stack([pos.vision[rows_p], neg.vision[rows_n]]),
-                np.stack([pos.audio[rows_p], neg.audio[rows_n]]),
-                params,
-                ablation,
-                head=not config.no_bcm,
-            )
-            lb = total_loss(fwd, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm)
-            if not np.isfinite(lb.total):
-                raise NumericError(f"non-finite loss at epoch {epoch}, step {state.step}")
-            grads = backward(
-                fwd, params, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm
-            )
-            sgd_step(params, grads, state, lr, config)
+            try:
+                fwd = forward_stacked(
+                    np.stack([pos.vision[rows_p], neg.vision[rows_n]]),
+                    np.stack([pos.audio[rows_p], neg.audio[rows_n]]),
+                    params,
+                    ablation,
+                    head=not config.no_bcm,
+                )
+                lb = total_loss(fwd, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm)
+                require_finite(lb.total, "loss")
+                grads = backward(
+                    fwd, params, config.eps, config.loss_variant, config.no_mmrl, config.no_bcm
+                )
+                sgd_step(params, grads, state, lr, config)
+            except NumericError as exc:
+                step = f"event {interest_event}, epoch {epoch}, step {state.step}"
+                raise NumericError(f"{step}, videos {pos.video_id} and {neg.video_id}: {exc}") from None
             sums += (lb.mm, lb.bce_pos, lb.bce_neg)
             n_steps += 1
         state.epoch = epoch + 1

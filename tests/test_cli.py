@@ -15,7 +15,7 @@ import pytest
 from conftest import shift_one_entry
 import milrank
 from milrank.cli import build_parser, main
-from milrank.data import read_manifest, write_feature_file
+from milrank.data import read_feature_file, read_manifest, write_feature_file
 from milrank.errors import ConfigError, FormatError
 from milrank.train import TrainingConfig, load_checkpoint, train_event
 
@@ -195,6 +195,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "non-finite" in captured.err and "Traceback" not in captured.err
         assert not out.exists()
+
+    def test_non_finite_training_step_names_where(self, tmp_path, capsys):
+        data = tmp_path / "d"
+        synth = ["synth", "--seed", "5", "--events", "2", "--videos-per-event", "6", "--segments-per-video", "20"]
+        assert main(synth + ["--out", str(data)]) == 0
+        path = data / "features" / "ev00_001.mnf"
+        vision, audio = read_feature_file(path)
+        write_feature_file(path, np.full_like(vision, 3e37), audio)  # finite in float32, so the reader accepts it
+        capsys.readouterr()
+        train = ["train", "--manifest", str(data / "manifest.tsv"), "--event", "ev00", "--epochs", "2", "--seed", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            assert main(train + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: event ev00, epoch 0, step 2, videos ev00_000 and ev01_003: non-finite values in raw scores\n"
+        )
 
     def test_non_utf8_config_file(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

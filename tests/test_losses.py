@@ -9,6 +9,7 @@ from milrank.errors import ConfigError, DataError, ShapeError
 from milrank import gradcheck
 from milrank.gradcheck import TOLERANCE, TOY_MODEL, check_case
 from milrank.losses import (
+    BCE_CLAMP,
     VARIANTS,
     backward,
     bce,
@@ -189,6 +190,45 @@ class TestBackward:
         assert grads.keys() == toy_params.tensors.keys()
         for name, g in grads.items():
             assert g.shape == toy_params.tensors[name].shape, name
+            assert np.all(g == 0.0), name
+
+    @pytest.mark.parametrize("ablation", [Ablation(), Ablation(no_audio=True), Ablation(no_vision=True)])
+    @pytest.mark.parametrize("ablate_mm,ablate_bcm", [(False, False), (True, False), (False, True)])
+    def test_one_gradient_per_parameter(self, toy_params, rng, ablation, ablate_mm, ablate_bcm):
+        """Exactly the parameters' names, shapes and dtypes; zero where the
+        layer did not run or its loss term is ablated, and only there."""
+        bags = [random_bag(rng), random_bag(rng)]
+        vision, audio = np.stack([b.vision for b in bags]), np.stack([b.audio for b in bags])
+        fwd = forward_stacked(vision, audio, toy_params, ablation, head=not ablate_bcm)
+        grads = backward(fwd, toy_params, 1.0, "max-max", ablate_mm, ablate_bcm)
+        assert list(grads) == list(toy_params.tensors)
+        for name, g in grads.items():
+            theta = toy_params.tensors[name]
+            assert (g.shape, g.dtype) == (theta.shape, theta.dtype), name
+            zero = (ablation.no_vision and name[:2] in ("wv", "bv")) or (ablate_bcm and name[:2] in ("wc", "bc"))
+            if name != "bh":  # the in-bag softmax is shift-invariant: bh's exact gradient is 0
+                assert np.all(g == 0.0) == zero, name
+
+    def test_saturated_classifier_inside_the_bce_clamp(self, toy_params, rng):
+        """Both event probabilities lie inside the BCE clamp, where its
+        gradient is 0: without the ranking term nothing moves."""
+        a, b = random_bag(rng), random_bag(rng)
+        fb = forward_pairs(toy_params, [a], [b]).bag_feature
+        t = toy_params.tensors
+        # hidden unit 0 is positive on the positive bag only; the logits
+        # differ by +50 on the positive bag and -50 on the negative
+        d = fb[0] - fb[1]
+        for name in ("wc1", "bc1", "wc2", "bc2"):
+            t[name][...] = 0.0
+        t["wc1"][0] = d
+        t["bc1"][0] = -d @ (fb[0] + fb[1]) / 2
+        t["wc2"][1, 0] = 200.0 / (d @ d)
+        t["bc2"][1] = -50.0
+        fwd = forward_pairs(toy_params, [a], [b])
+        assert fwd.event_prob[0] >= 1.0 - BCE_CLAMP and fwd.event_prob[1] <= BCE_CLAMP
+        lb = total_loss(fwd, 1.0, ablate_mm=True)
+        assert lb.bce_pos == lb.bce_neg == -np.log(1.0 - BCE_CLAMP)
+        for name, g in backward(fwd, toy_params, 1.0, ablate_mm=True).items():
             assert np.all(g == 0.0), name
 
     def test_stale_cache_rejected(self, toy_params, rng):

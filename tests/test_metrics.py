@@ -208,6 +208,17 @@ class TestEvaluateTop5Map:
         assert report.metric == "top5-mAP"
 
 
+@pytest.mark.parametrize("evaluate", [evaluate_map, evaluate_top5_map])
+def test_unlabeled_video_is_refused_before_it_is_scored(evaluate, toy_params, rng, monkeypatch):
+    scored = []
+    monkeypatch.setattr("milrank.metrics.score_video", lambda video, *args: scored.append(video.video_id))
+    video = labeled_video(rng, video_id="unlabeled")
+    video.labels = None
+    with pytest.raises(DataError, match="unlabeled: no"):
+        evaluate(toy_params, [video], "e")
+    assert scored == []
+
+
 class TestExtractHighlights:
     def make_segments(self, scores):
         return [ScoredSegment(i, float(i), s) for i, s in enumerate(scores)]

@@ -276,15 +276,17 @@ class TestProbeAxes:
         assert batched.raw_scores.shape == (4, 2, 5)
         for i, probe in enumerate(probes):
             one = forward_stacked(vision, audio, probe, ablation, head=head)
+            assert batched.layer_inputs.keys() == one.layer_inputs.keys()
             for field in dataclasses.fields(StackedForward):
                 got, want = getattr(batched, field.name), getattr(one, field.name)
                 if field.name in ("ablation", "params_version") or want is None:
                     assert got == want, field.name
                     continue
-                for g, w in zip(got, want) if isinstance(want, list) else [(got, want)]:
+                named = [(w, got[w], want[w]) for w in want] if isinstance(want, dict) else [(field.name, got, want)]
+                for name, g, w in named:
                     # inputs and the no-vision branch input do not depend on the parameters
                     g = g[i] if g.ndim == w.ndim + 1 else g
-                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15, err_msg=field.name)
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15, err_msg=name)
 
     def test_probe_axes_in_any_number(self, toy_params, rng):
         _, stacked = probe_stack(toy_params, rng, 6)
@@ -305,8 +307,7 @@ class TestComputeDtype:
 
     def test_float64_path_unchanged(self, toy_params):
         fwd = forward_stacked(*self.inputs(), toy_params)
-        caches = [fwd.fused, fwd.vision, fwd.proj_hidden, fwd.cat, fwd.score_hidden, fwd.cls_hidden]
-        caches += fwd.branch_z1 + fwd.branch_z2
+        caches = [fwd.fused, *fwd.layer_inputs.values()]
         assert all(c.dtype == np.float64 for c in caches)
         # the scores this network has always given for these inputs
         expected = [
@@ -319,8 +320,8 @@ class TestComputeDtype:
     def test_float32_params_compute_in_float32(self, toy_params):
         mirror = ModelParams(TOY, {k: v.astype(np.float32) for k, v in toy_params.tensors.items()})
         fwd = forward_stacked(*self.inputs(), mirror)
-        per_row = [fwd.fused, fwd.vision, fwd.proj_hidden, fwd.cat, fwd.score_hidden, fwd.raw_scores]
-        assert all(c.dtype == np.float32 for c in per_row + fwd.branch_z1 + fwd.branch_z2)
+        per_row = [fwd.fused, fwd.raw_scores] + [x for w, x in fwd.layer_inputs.items() if w not in ("wc1", "wc2")]
+        assert all(c.dtype == np.float32 for c in per_row)
         # the in-bag softmax and the bag head stay float64
         assert fwd.norm_scores.dtype == fwd.bag_feature.dtype == fwd.event_prob.dtype == np.float64
         ref = forward_stacked(*self.inputs(), toy_params)
