@@ -182,16 +182,17 @@ def backward(
 
     # fusion: fused = base + concat_j branch_j(cat)
     d_cat = np.zeros_like(fwd.layer_inputs["f0_w1"])
-    for j, d_z3 in enumerate(np.split(d_fused, params.config.k, axis=1)):
+    width = params.config.fused_dim // params.config.k
+    for j in range(params.config.k):
+        d_z3 = d_fused[:, j * width : (j + 1) * width]
         d_z2 = _dense_grad(grads, fwd, t, f"f{j}_w3", f"f{j}_b3", d_z3, relu_input=True)
         d_z1 = _dense_grad(grads, fwd, t, f"f{j}_w2", f"f{j}_b2", d_z2, relu_input=True)
         d_cat += _dense_grad(grads, fwd, t, f"f{j}_w1", f"f{j}_b1", d_z1)
 
     if not fwd.ablation.no_vision:
-        d_base, d_audio = np.split(d_cat, 2, axis=1)
-        d_proj = d_fused + d_base  # the residual base is the projection
+        d_proj = d_fused + d_cat[:, : params.config.da]  # the residual base is the projection
         if fwd.ablation.no_audio:
-            d_proj += d_audio
+            d_proj += d_cat[:, params.config.da :]
         d_h = _dense_grad(grads, fwd, t, "wv2", "bv2", d_proj, relu_input=True)
         # the input layer: the input features need no gradient
         grads["wv1"] = d_h.T @ fwd.layer_inputs["wv1"]
