@@ -12,13 +12,12 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional, get_type_hints
 
 from . import data as datamod
-from . import metrics
+from . import metrics, numkit
 from .errors import ConfigError, DataError, MilrankError
 from .gradcheck import TOLERANCE, run_gradient_check
 from .losses import VARIANTS
@@ -34,10 +33,6 @@ EXIT_USAGE = 2
 # the echoed `config.txt` all come from this one table.
 _SCHEMA = {key: typ for key, typ in get_type_hints(TrainingConfig).items() if key != "model"}
 _SCHEMA["model.k"] = get_type_hints(ModelConfig)["k"]
-
-# Environment variables that set the thread count of the common BLAS builds.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 def _parse_config_file(path: Path) -> dict:
     values = {}
@@ -114,31 +109,6 @@ def _train_one(index, event: str, config: TrainingConfig, out_dir: Path) -> Path
     return ckpt_path
 
 
-def _blas_thread_count():
-    """(get, set) C functions of the OpenBLAS that numpy links, or None."""
-    import ctypes
-
-    import numpy as np
-
-    try:
-        umath = np._core._multiarray_umath
-    except AttributeError:  # numpy < 2
-        umath = np.core._multiarray_umath
-    try:
-        lib = ctypes.CDLL(umath.__file__)
-    except OSError:
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
 def _train_events(index, events: List[str], config: TrainingConfig, out_dir: Path, jobs: int) -> None:
     """Train ``events`` over up to ``jobs`` processes and print their lines in
     command-line order.
@@ -154,9 +124,9 @@ def _train_events(index, events: List[str], config: TrainingConfig, out_dir: Pat
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    blas = _blas_thread_count() if jobs > 1 else None
-    pinned = all(os.environ.get(var) == "1" for var in _BLAS_THREAD_VARS)
-    if "fork" not in multiprocessing.get_all_start_methods() or (blas is None and not pinned):
+    blas = numkit.blas_thread_count() if jobs > 1 else None
+    held = blas is not None or numkit.blas_single_threaded()
+    if "fork" not in multiprocessing.get_all_start_methods() or not held:
         jobs, blas = 1, None
     with contextlib.ExitStack() as cleanup:
         if blas is not None:
@@ -194,7 +164,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _echo_config(config, out_dir)
     # one process per usable CPU; `taskset` limits it
-    jobs = min(len(events), len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1)
+    jobs = min(len(events), numkit.usable_cpus())
     _train_events(index, events, config, out_dir, jobs)
     return EXIT_OK
 

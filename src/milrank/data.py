@@ -160,25 +160,31 @@ def write_feature_file(
 def read_feature_file(
     path, expect_dims: Optional[Tuple[int, int]] = DEFAULT_DIMS
 ) -> Tuple[np.ndarray, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise FormatError(f"{path}: truncated header")
-    if raw[:4] != MNF1_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    n, dv, da = struct.unpack("<III", raw[4:16])
-    if n == 0:
-        raise FormatError(f"{path}: zero segments")
-    if expect_dims is not None and (dv, da) != tuple(expect_dims):
-        raise FormatError(f"{path}: dims ({dv},{da}) do not match expected {tuple(expect_dims)}")
-    need = 16 + 4 * n * (dv + da)
-    if len(raw) != need:
-        raise FormatError(f"{path}: expected {need} bytes, found {len(raw)}")
-    payload = np.frombuffer(raw, dtype="<f4", offset=16)
-    vision = payload[: n * dv].reshape(n, dv).copy()
-    audio = payload[n * dv :].reshape(n, da).copy()
-    if not (np.all(np.isfinite(vision)) and np.all(np.isfinite(audio))):
+    """The (N, Dv) vision and (N, Da) audio arrays of an MNF1 file: views of
+    one float32 array that the payload is read into, allocated only once the
+    header agrees with the file's size."""
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if len(head) < 16:
+            raise FormatError(f"{path}: truncated header")
+        if head[:4] != MNF1_MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:4]!r}")
+        n, dv, da = struct.unpack("<III", head[4:])
+        if n == 0:
+            raise FormatError(f"{path}: zero segments")
+        if expect_dims is not None and (dv, da) != tuple(expect_dims):
+            raise FormatError(f"{path}: dims ({dv},{da}) do not match expected {tuple(expect_dims)}")
+        need = 16 + 4 * n * (dv + da)
+        size = os.fstat(fh.fileno()).st_size
+        if size != need:
+            raise FormatError(f"{path}: expected {need} bytes, found {size}")
+        payload = np.empty(n * (dv + da), dtype="<f4")
+        got = fh.readinto(payload)
+        if got != payload.nbytes:  # the file shrank after the size check
+            raise FormatError(f"{path}: expected {need} bytes, found {16 + got}")
+    if not np.isfinite(payload).all():
         raise FormatError(f"{path}: non-finite feature values")
-    return vision, audio
+    return payload[: n * dv].reshape(n, dv), payload[n * dv :].reshape(n, da)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -15,8 +15,7 @@ from .errors import DataError, ShapeError
 from .model import Ablation, ModelParams, score_video
 
 
-@dataclass(frozen=True)
-class ScoredSegment:
+class ScoredSegment(NamedTuple):
     segment_index: int
     start_s: float
     score: float
@@ -128,7 +127,7 @@ def evaluate_top5_map(
 
 def scored_segments(video: VideoRecord, params: ModelParams, ablation: Ablation = Ablation()) -> List[ScoredSegment]:
     scores = score_video(video, params, ablation)
-    return [ScoredSegment(i, float(i), float(s)) for i, s in enumerate(scores)]
+    return [ScoredSegment(i, float(i), s) for i, s in enumerate(scores.tolist())]
 
 
 def extract_highlights(

@@ -12,6 +12,7 @@ one network per probe, and its outputs gain those axes.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -19,14 +20,18 @@ import numpy as np
 
 from .data import Bag, VideoRecord
 from .errors import ConfigError, ShapeError
-from .numkit import relu, require_finite, stable_softmax
+from .numkit import blas_single_threaded, relu, require_finite, stable_softmax, usable_cpus
 
-# Rows per forward pass when scoring a video.  Segments are scored
-# independently, so any row partition gives the same scores; a block this size
-# keeps the forward's intermediates small enough to reuse the same memory from
-# block to block, where a whole long video would allocate and fault in tens of
-# megabytes per call.
+# Rows in flight when scoring a video, over all its threads.  Segments are
+# scored independently, so any row partition gives the same scores up to
+# round-off; blocks this small keep the forward's intermediates small enough
+# to reuse the same memory from block to block, where a whole long video would
+# allocate and fault in tens of megabytes per call.
 SCORE_BLOCK_ROWS = 256
+# Fewest rows worth a block of their own: below this, a thread's start and its
+# share of the GIL cost more than the rows' matmuls save (two threads broke
+# even at about 60 rows on a 2-core host).
+SCORE_MIN_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -266,18 +271,40 @@ def score_video(
     """Raw per-segment highlight scores; each segment is scored independently,
     so ranking by these matches ranking by any within-video softmax.
 
-    The video runs through the network in blocks of ``SCORE_BLOCK_ROWS``
-    segments, so the memory it takes does not grow with its length."""
-    if video.n_segments == 0:
+    The rows are split into blocks of near-equal size (at least
+    ``SCORE_MIN_BLOCK_ROWS`` where there are that many), scored on one thread
+    per usable CPU when BLAS holds one thread (numpy releases the GIL inside
+    BLAS), and on the calling thread alone otherwise.  About
+    ``SCORE_BLOCK_ROWS`` rows are in flight at once over all threads, so the
+    memory a call takes does not grow with the video's length.  The error of
+    the lowest-indexed failing block is raised."""
+    n = video.n_segments
+    if n == 0:
         raise ShapeError(f"{video.video_id}: empty video")
-    blocks = [
-        forward_stacked(
-            video.vision[None, i : i + SCORE_BLOCK_ROWS],
-            video.audio[None, i : i + SCORE_BLOCK_ROWS],
-            params,
-            ablation,
-            head=False,
-        ).raw_scores[0]
-        for i in range(0, video.n_segments, SCORE_BLOCK_ROWS)
-    ]
+    workers = usable_cpus() if blas_single_threaded() else 1
+    n_blocks = max(1, min(n // SCORE_MIN_BLOCK_ROWS, workers * -(-n // SCORE_BLOCK_ROWS)))
+    workers = min(workers, n_blocks)
+    edges = [n * b // n_blocks for b in range(n_blocks + 1)]
+    blocks: List = [None] * n_blocks
+
+    def run(first: int) -> None:  # blocks first, first + workers, ...
+        for b in range(first, n_blocks, workers):
+            rows = slice(edges[b], edges[b + 1])
+            try:  # no block's intermediates outlive its forward
+                blocks[b] = forward_stacked(
+                    video.vision[None, rows], video.audio[None, rows], params, ablation, head=False
+                ).raw_scores[0]
+            except BaseException as exc:
+                blocks[b] = exc
+                return
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for block in blocks:
+        if isinstance(block, BaseException):
+            raise block
     return np.concatenate(blocks)

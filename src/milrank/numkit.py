@@ -8,6 +8,8 @@ training, float64 otherwise), and softmax sums always accumulate in float64.
 from __future__ import annotations
 
 import copy
+import functools
+import os
 from typing import Callable, Dict, Mapping, Optional
 
 import numpy as np
@@ -15,6 +17,49 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 GradientSet = Dict[str, np.ndarray]
+
+# Environment variables that set the thread count of the common BLAS builds.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@functools.lru_cache(maxsize=None)
+def blas_thread_count():
+    """(get, set) C functions of the OpenBLAS that numpy links, or None.
+    Looked up once per process."""
+    import ctypes
+
+    try:
+        umath = np._core._multiarray_umath
+    except AttributeError:  # numpy < 2
+        umath = np.core._multiarray_umath
+    try:
+        lib = ctypes.CDLL(umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def blas_single_threaded() -> bool:
+    """Whether a BLAS call runs on its calling thread alone: the OpenBLAS
+    thread count reads 1, or, where it cannot be read, the thread variables
+    are all ``1``."""
+    blas = blas_thread_count()
+    if blas is None:
+        return all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+    return blas[0]() == 1
+
+
+def usable_cpus() -> int:
+    """The CPUs in this process's affinity mask, so ``taskset`` limits it."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -269,30 +269,31 @@ def _config_from_dict(d: dict) -> TrainingConfig:
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write an MNCK file atomically.  The metadata carries a CRC-32 of the
     tensor section (everything after the metadata block) and a CRC-32 of
-    itself without that key."""
+    itself without that key.  The section is streamed from the tensors'
+    memory, never assembled in one buffer."""
     tensors = [(f"p/{k}", v) for k, v in sorted(ckpt.params.tensors.items())]
     tensors += [(f"v/{k}", v) for k, v in sorted(ckpt.state.velocity.items())]
-    section = bytearray(struct.pack("<I", len(tensors)))
+    section = [struct.pack("<I", len(tensors))]
     for name, tensor in tensors:
         nb = name.encode("utf-8")
         code = _DTYPE_CODES[tensor.dtype]
-        section += struct.pack("<I", len(nb))
-        section += nb
-        section += struct.pack("<BI", code, tensor.ndim)
-        section += struct.pack(f"<{tensor.ndim}I", *tensor.shape)
-        section += np.ascontiguousarray(tensor).astype(_DTYPES[code]).tobytes()
+        section.append(struct.pack(f"<I{len(nb)}sBI{tensor.ndim}I", len(nb), nb, code, tensor.ndim, *tensor.shape))
+        section.append(memoryview(np.ascontiguousarray(tensor, dtype=_DTYPES[code])).cast("B"))
+    crc = 0
+    for chunk in section:
+        crc = zlib.crc32(chunk, crc)
     meta = {
         "config": asdict(ckpt.config),
         "step": ckpt.state.step,
         "epoch": ckpt.state.epoch,
         "params_version": ckpt.params.version,
         "rng_states": ckpt.rng_states,
-        _CRC_KEY: zlib.crc32(section),
+        _CRC_KEY: crc,
     }
     meta[_META_CRC_KEY] = _meta_crc(meta)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     datamod.write_atomic(
-        path, MNCK_MAGIC, struct.pack("<II", MNCK_VERSION, len(meta_bytes)), meta_bytes, section
+        path, MNCK_MAGIC, struct.pack("<II", MNCK_VERSION, len(meta_bytes)), meta_bytes, *section
     )
 
 
@@ -301,10 +302,10 @@ def _meta_crc(meta: dict) -> int:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    raw = memoryview(Path(path).read_bytes())
     off = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:  # a view: no tensor's bytes are copied
         nonlocal off
         if off + n > len(raw):
             raise FormatError(f"{path}: truncated checkpoint")
@@ -319,7 +320,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = struct.unpack("<I", take(4))
     try:
-        meta = json.loads(take(meta_len).decode("utf-8"))
+        meta = json.loads(str(take(meta_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deeply nested JSON
         raise FormatError(f"{path}: unreadable checkpoint metadata: {exc}") from None
     if not isinstance(meta, dict):
@@ -330,7 +331,7 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<I", take(4))
         try:
-            name = take(name_len).decode("utf-8")
+            name = str(take(name_len), "utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: tensor name is not UTF-8") from None
         if name[:2] not in ("p/", "v/"):
@@ -346,10 +347,10 @@ def load_checkpoint(path) -> Checkpoint:
         count = math.prod(shape)  # exact: a corrupt shape must not wrap around
         dt = np.dtype(_DTYPES[code])
         arr = np.frombuffer(take(count * dt.itemsize), dtype=dt).reshape(shape)
-        tensors[name] = arr.astype(arr.dtype.newbyteorder("=")).copy()
+        tensors[name] = arr.astype(arr.dtype.newbyteorder("="))  # a copy, native byte order
     if off != len(raw):
         raise FormatError(f"{path}: {len(raw) - off} trailing bytes")
-    if _CRC_KEY in meta and zlib.crc32(memoryview(raw)[section_start:]) != meta[_CRC_KEY]:
+    if _CRC_KEY in meta and zlib.crc32(raw[section_start:]) != meta[_CRC_KEY]:
         raise FormatError(f"{path}: tensor checksum mismatch")
     if _META_CRC_KEY in meta:
         stored = meta.pop(_META_CRC_KEY)

@@ -715,7 +715,7 @@ class TestParallelTrain:
         assert proc.stdout.splitlines() == [f"trained\tev00\t{tmp_path / 'o' / 'ev00'}.mnck"]
 
     def test_blas_threads_restored(self, dataset4, tmp_path, capsys, monkeypatch):
-        blas = milrank.cli._blas_thread_count()
+        blas = milrank.numkit.blas_thread_count()
         if blas is None:
             pytest.skip("no OpenBLAS thread setter in this numpy")
         get, set_ = blas
@@ -746,7 +746,7 @@ class TestParallelTrain:
         log = tmp_path / "pids"
         record_pids(monkeypatch, log)
         usable_cpus(monkeypatch, 2)
-        monkeypatch.setattr(milrank.cli, "_blas_thread_count", lambda: None)
+        monkeypatch.setattr(milrank.numkit, "blas_thread_count", lambda: None)
         for var in ("OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "1")
         if openblas_threads is None:

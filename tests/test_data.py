@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import hashlib
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -78,6 +79,28 @@ class TestFeatureFile:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="bytes"):
             read_feature_file(path)
+
+    def test_oversized_header_allocates_nothing(self, tmp_path):
+        """A header that claims more rows than the file holds is refused
+        before the payload array is allocated."""
+        path = tmp_path / "big.mnf"
+        write_feature_file(path, np.zeros((2, 512)), np.zeros((2, 128)))
+        path.write_bytes(path.read_bytes()[:4] + struct.pack("<I", 2**32 - 1) + path.read_bytes()[8:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="expected 10995116275216 bytes, found 5136"):
+                read_feature_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_modalities_share_one_payload(self, tmp_path, rng):
+        path = tmp_path / "a.mnf"
+        write_feature_file(path, rng.standard_normal((3, 512)), rng.standard_normal((3, 128)))
+        vision, audio = read_feature_file(path)
+        assert vision.base is not None and vision.base is audio.base
+        assert vision.flags.c_contiguous and audio.flags.c_contiguous
 
     def test_zero_segments_rejected(self, tmp_path):
         with pytest.raises(FormatError):

@@ -263,3 +263,10 @@ class TestExtractHighlights:
         video = labeled_video(rng, n=5)
         segs = scored_segments(video, toy_params)
         assert [s.start_s for s in segs] == [float(i) for i in range(5)]
+
+    def test_scored_segments_are_immutable_floats(self, toy_params, rng):
+        video = labeled_video(rng, n=5)
+        segs = scored_segments(video, toy_params)
+        assert all(type(s.score) is float and type(s.segment_index) is int for s in segs)
+        with pytest.raises(AttributeError):
+            segs[0].score = 1.0

@@ -1,9 +1,13 @@
 import dataclasses
+import os
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import milrank.model
+import milrank.numkit
 from conftest import TOY, probe_stack, random_bag
 from milrank.data import Bag, VideoRecord
 from milrank.errors import ConfigError, NumericError, ShapeError
@@ -471,3 +475,53 @@ class TestBlockedScoring:
         for name, t in params.tensors.items():
             assert np.array_equal(t, before.tensors[name]), name
         assert np.array_equal(vision, inputs[0]) and np.array_equal(audio, inputs[1])
+
+
+class TestThreadedScoring(TestBlockedScoring):
+    """Every blocked-scoring test again, over more than one thread, plus the
+    threads' own contract.  BLAS is made to read as single-threaded and the
+    affinity mask to hold ``threads`` CPUs, since the default thread count of
+    an unpinned BLAS keeps scoring on the calling thread."""
+
+    @pytest.fixture(autouse=True, params=[2, 3], ids=["2-threads", "3-threads"])
+    def threads(self, request, monkeypatch):
+        monkeypatch.setattr(milrank.numkit, "blas_thread_count", lambda: (lambda: 1, lambda n: None))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+        return request.param
+
+    def test_runs_on_every_thread(self, threads, params, monkeypatch):
+        seen = set()
+        real = milrank.model.forward_stacked
+
+        def record(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(milrank.model, "forward_stacked", record)
+        score_video(self.video(3 * SCORE_BLOCK_ROWS + 5), params)
+        assert len(seen) == threads and threading.get_ident() in seen
+
+    def test_repeated_calls_identical(self, params):
+        video = self.video(2 * SCORE_BLOCK_ROWS + 7)
+        first = score_video(video, params)
+        for _ in range(4):
+            assert np.array_equal(score_video(video, params), first)
+
+    def test_lowest_failing_block_is_raised(self, toy_params, monkeypatch):
+        real = milrank.model.forward_stacked
+        starts = []
+
+        def fail_late_blocks(vision, *args, **kwargs):
+            start = int(vision[0, 0, 0])
+            starts.append(start)
+            if start >= SCORE_BLOCK_ROWS:
+                raise NumericError(f"block at row {start}")
+            return real(vision, *args, **kwargs)
+
+        monkeypatch.setattr(milrank.model, "forward_stacked", fail_late_blocks)
+        video = self.video(4 * SCORE_BLOCK_ROWS, TOY)
+        video.vision[:, 0] = np.arange(video.n_segments)
+        with pytest.raises(NumericError) as info:
+            score_video(video, toy_params)
+        first = min(s for s in starts if s >= SCORE_BLOCK_ROWS)
+        assert str(info.value) == f"block at row {first}"

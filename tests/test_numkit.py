@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import milrank
+import milrank.numkit
 from milrank.errors import NumericError, ShapeError
-from milrank.numkit import finite_diff_gradient, relu, stable_softmax
+from milrank.numkit import BLAS_THREAD_VARS, blas_single_threaded, finite_diff_gradient, relu, stable_softmax
 
 finite_vecs = st.lists(
     st.floats(min_value=-1e4, max_value=1e4, allow_nan=False), min_size=1, max_size=20
@@ -168,3 +174,34 @@ class TestFiniteDiff:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
             finite_diff_gradient(lambda p: np.zeros(2), _scalar(1.0), h=0.0)
+
+
+class TestBlasProbe:
+    @pytest.mark.parametrize("count,single", [(1, True), (2, False)])
+    def test_reads_the_thread_count(self, monkeypatch, count, single):
+        monkeypatch.setattr(milrank.numkit, "blas_thread_count", lambda: (lambda: count, lambda n: None))
+        for var in BLAS_THREAD_VARS:  # the count read wins over the variables
+            monkeypatch.setenv(var, "2" if single else "1")
+        assert blas_single_threaded() is single
+
+    @pytest.mark.parametrize("values,single", [(("1", "1", "1"), True), (("1", "1", "2"), False),
+                                               (("1", None, "1"), False)])
+    def test_unreadable_blas_needs_every_variable_at_one(self, monkeypatch, values, single):
+        monkeypatch.setattr(milrank.numkit, "blas_thread_count", lambda: None)
+        for var, value in zip(BLAS_THREAD_VARS, values):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+        assert blas_single_threaded() is single
+
+    def test_lookup_is_cached(self):
+        assert milrank.numkit.blas_thread_count() is milrank.numkit.blas_thread_count()
+
+    def test_import_starts_no_pool_machinery(self):
+        src = str(Path(milrank.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, milrank; print(sorted(m for m in sys.modules if m.split('.')[0] in " \
+               "('concurrent', 'multiprocessing')))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"

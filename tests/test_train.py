@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 import zlib
@@ -275,6 +276,12 @@ class TestCheckpointIO:
         save_checkpoint(tmp_path / "a.mnck", ckpt)
         save_checkpoint(tmp_path / "b.mnck", ckpt)
         assert (tmp_path / "a.mnck").read_bytes() == (tmp_path / "b.mnck").read_bytes()
+
+    def test_bytes_pinned(self, tmp_path):
+        """One fixed checkpoint's bytes, so the container layout cannot drift."""
+        save_checkpoint(tmp_path / "c.mnck", self.make_checkpoint())
+        digest = hashlib.sha256((tmp_path / "c.mnck").read_bytes()).hexdigest()
+        assert digest == "7786720e74a5bdf2312461ca2ae912b0fa75a4716066ee0cd10a7ab277cc9799"
 
     def test_magic(self, tmp_path):
         save_checkpoint(tmp_path / "c.mnck", self.make_checkpoint())
