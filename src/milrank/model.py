@@ -12,6 +12,7 @@ one network per probe, and its outputs gain those axes.
 
 from __future__ import annotations
 
+import _thread
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -29,9 +30,10 @@ from .numkit import blas_single_threaded, relu, require_finite, stable_softmax, 
 # allocate and fault in tens of megabytes per call.
 SCORE_BLOCK_ROWS = 256
 # Fewest rows worth a block of their own: below this, a thread's start and its
-# share of the GIL cost more than the rows' matmuls save (two threads broke
-# even at about 60 rows on a 2-core host).
-SCORE_MIN_BLOCK_ROWS = 32
+# share of the GIL cost more than the rows' matmuls save (on a 2-core host two
+# threads were 0.89-0.97x of one on videos of 64-128 rows, and 1.5-1.8x from
+# 192 rows on).
+SCORE_MIN_BLOCK_ROWS = 96
 
 
 @dataclass(frozen=True)
@@ -272,23 +274,36 @@ def score_video(
     so ranking by these matches ranking by any within-video softmax.
 
     The rows are split into blocks of near-equal size (at least
-    ``SCORE_MIN_BLOCK_ROWS`` where there are that many), scored on one thread
-    per usable CPU when BLAS holds one thread (numpy releases the GIL inside
-    BLAS), and on the calling thread alone otherwise.  About
-    ``SCORE_BLOCK_ROWS`` rows are in flight at once over all threads, so the
-    memory a call takes does not grow with the video's length.  The error of
-    the lowest-indexed failing block is raised."""
+    ``SCORE_MIN_BLOCK_ROWS`` where there are that many).  When BLAS holds one
+    thread, one helper thread per further usable CPU is started (numpy
+    releases the GIL inside BLAS), and the calling thread and the helpers
+    claim blocks in row order until none is left.  The caller waits only for
+    blocks a helper has claimed, never for a helper to start: where another
+    process holds the second CPU, a helper that is not scheduled in time
+    finds nothing left to claim and exits, and the call runs at the speed of
+    one thread instead of waiting on it.  About ``SCORE_BLOCK_ROWS`` rows are
+    in flight at once over all threads, so the memory a call takes does not
+    grow with the video's length.  The error of the lowest-indexed failing
+    block is raised."""
     n = video.n_segments
     if n == 0:
         raise ShapeError(f"{video.video_id}: empty video")
     workers = usable_cpus() if blas_single_threaded() else 1
     n_blocks = max(1, min(n // SCORE_MIN_BLOCK_ROWS, workers * -(-n // SCORE_BLOCK_ROWS)))
-    workers = min(workers, n_blocks)
     edges = [n * b // n_blocks for b in range(n_blocks + 1)]
     blocks: List = [None] * n_blocks
+    lock = threading.Lock()
+    idle = threading.Condition(lock)
+    state = {"next": 0, "running": 0}  # next unclaimed block, blocks being scored
 
-    def run(first: int) -> None:  # blocks first, first + workers, ...
-        for b in range(first, n_blocks, workers):
+    def work() -> None:
+        while True:
+            with lock:
+                b = state["next"]
+                if b >= n_blocks:
+                    return
+                state["next"] += 1
+                state["running"] += 1
             rows = slice(edges[b], edges[b + 1])
             try:  # no block's intermediates outlive its forward
                 blocks[b] = forward_stacked(
@@ -296,14 +311,18 @@ def score_video(
                 ).raw_scores[0]
             except BaseException as exc:
                 blocks[b] = exc
-                return
+            with lock:
+                state["running"] -= 1
+                if isinstance(blocks[b], BaseException):
+                    state["next"] = n_blocks  # claim nothing more
+                idle.notify_all()
 
-    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
+    for _ in range(min(workers, n_blocks) - 1):
+        # not threading.Thread: its start() waits until the thread runs
+        _thread.start_new_thread(work, ())
+    work()
+    with idle:
+        idle.wait_for(lambda: state["running"] == 0)
     for block in blocks:
         if isinstance(block, BaseException):
             raise block

@@ -491,15 +491,41 @@ class TestThreadedScoring(TestBlockedScoring):
 
     def test_runs_on_every_thread(self, threads, params, monkeypatch):
         seen = set()
+        # each thread's first block waits for the others' first, so every
+        # thread claims one whatever the scheduler does
+        all_started = threading.Barrier(threads, timeout=10)
         real = milrank.model.forward_stacked
 
         def record(*args, **kwargs):
-            seen.add(threading.get_ident())
+            if threading.get_ident() not in seen:
+                seen.add(threading.get_ident())
+                all_started.wait()
             return real(*args, **kwargs)
 
         monkeypatch.setattr(milrank.model, "forward_stacked", record)
-        score_video(self.video(3 * SCORE_BLOCK_ROWS + 5), params)
+        video = self.video(3 * SCORE_BLOCK_ROWS + 5)
+        scores = score_video(video, params)
         assert len(seen) == threads and threading.get_ident() in seen
+        monkeypatch.setattr(milrank.model, "forward_stacked", real)
+        assert np.array_equal(scores, score_video(video, params))
+
+    def test_caller_does_not_wait_for_a_helper_to_start(self, threads, params, monkeypatch):
+        """Helpers that are not scheduled before the caller has claimed every
+        block leave the call to the caller, and find nothing to do when they
+        do run."""
+        late = []
+        start = milrank.model._thread.start_new_thread
+        monkeypatch.setattr(milrank.model._thread, "start_new_thread", lambda f, args: late.append(f))
+        video = self.video(3 * SCORE_BLOCK_ROWS + 5)
+        scores = score_video(video, params)
+        assert len(late) == threads - 1
+        monkeypatch.setattr(milrank.model._thread, "start_new_thread", start)
+        assert np.array_equal(scores, score_video(video, params))
+        calls = []
+        monkeypatch.setattr(milrank.model, "forward_stacked", lambda *a, **k: calls.append(a))
+        for helper in late:
+            helper()
+        assert calls == []
 
     def test_repeated_calls_identical(self, params):
         video = self.video(2 * SCORE_BLOCK_ROWS + 7)
