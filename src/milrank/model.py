@@ -279,12 +279,12 @@ def score_video(
     releases the GIL inside BLAS), and the calling thread and the helpers
     claim blocks in row order until none is left.  The caller waits only for
     blocks a helper has claimed, never for a helper to start: where another
-    process holds the second CPU, a helper that is not scheduled in time
+    process holds the other CPUs, a helper that is not scheduled in time
     finds nothing left to claim and exits, and the call runs at the speed of
-    one thread instead of waiting on it.  About ``SCORE_BLOCK_ROWS`` rows are
-    in flight at once over all threads, so the memory a call takes does not
-    grow with the video's length.  The error of the lowest-indexed failing
-    block is raised."""
+    one thread instead of waiting on it.  About ``SCORE_BLOCK_ROWS`` rows (or
+    ``SCORE_MIN_BLOCK_ROWS`` per thread, if more) are in flight at once over
+    all threads, so the memory a call takes does not grow with the video's
+    length.  The error of the lowest-indexed failing block is raised."""
     n = video.n_segments
     if n == 0:
         raise ShapeError(f"{video.video_id}: empty video")
@@ -292,18 +292,18 @@ def score_video(
     n_blocks = max(1, min(n // SCORE_MIN_BLOCK_ROWS, workers * -(-n // SCORE_BLOCK_ROWS)))
     edges = [n * b // n_blocks for b in range(n_blocks + 1)]
     blocks: List = [None] * n_blocks
-    lock = threading.Lock()
-    idle = threading.Condition(lock)
-    state = {"next": 0, "running": 0}  # next unclaimed block, blocks being scored
+    idle = threading.Condition()
+    unclaimed = running = 0  # the next block to claim, blocks being scored
 
     def work() -> None:
+        nonlocal unclaimed, running
         while True:
-            with lock:
-                b = state["next"]
+            with idle:
+                b = unclaimed
                 if b >= n_blocks:
                     return
-                state["next"] += 1
-                state["running"] += 1
+                unclaimed += 1
+                running += 1
             rows = slice(edges[b], edges[b + 1])
             try:  # no block's intermediates outlive its forward
                 blocks[b] = forward_stacked(
@@ -311,10 +311,10 @@ def score_video(
                 ).raw_scores[0]
             except BaseException as exc:
                 blocks[b] = exc
-            with lock:
-                state["running"] -= 1
+            with idle:
+                running -= 1
                 if isinstance(blocks[b], BaseException):
-                    state["next"] = n_blocks  # claim nothing more
+                    unclaimed = n_blocks  # claim nothing more
                 idle.notify_all()
 
     for _ in range(min(workers, n_blocks) - 1):
@@ -322,7 +322,7 @@ def score_video(
         _thread.start_new_thread(work, ())
     work()
     with idle:
-        idle.wait_for(lambda: state["running"] == 0)
+        idle.wait_for(lambda: running == 0)
     for block in blocks:
         if isinstance(block, BaseException):
             raise block
