@@ -13,6 +13,7 @@ one network per probe, and its outputs gain those axes.
 from __future__ import annotations
 
 import _thread
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -23,17 +24,14 @@ from .data import Bag, VideoRecord
 from .errors import ConfigError, ShapeError
 from .numkit import blas_single_threaded, relu, require_finite, stable_softmax, usable_cpus
 
-# Rows in flight when scoring a video, over all its threads.  Segments are
-# scored independently, so any row partition gives the same scores up to
-# round-off; blocks this small keep the forward's intermediates small enough
-# to reuse the same memory from block to block, where a whole long video would
-# allocate and fault in tens of megabytes per call.
-SCORE_BLOCK_ROWS = 256
-# Fewest rows worth a block of their own: below this, a thread's start and its
-# share of the GIL cost more than the rows' matmuls save (on a 2-core host two
+# Rows per block when scoring a video, whatever the thread count.  Blocks this
+# small keep the forward's intermediates small enough to reuse the same memory
+# from block to block, where a whole long video would allocate and fault in
+# tens of megabytes per call; below this size, a thread's start and its share
+# of the GIL cost more than the rows' matmuls save (on a 2-core host two
 # threads were 0.89-0.97x of one on videos of 64-128 rows, and 1.5-1.8x from
 # 192 rows on).
-SCORE_MIN_BLOCK_ROWS = 96
+SCORE_BLOCK_ROWS = 96
 
 
 @dataclass(frozen=True)
@@ -273,37 +271,31 @@ def score_video(
     """Raw per-segment highlight scores; each segment is scored independently,
     so ranking by these matches ranking by any within-video softmax.
 
-    The rows are split into blocks of near-equal size (at least
-    ``SCORE_MIN_BLOCK_ROWS`` where there are that many).  When BLAS holds one
-    thread, one helper thread per further usable CPU is started (numpy
-    releases the GIL inside BLAS), and the calling thread and the helpers
-    claim blocks in row order until none is left.  The caller waits only for
-    blocks a helper has claimed, never for a helper to start: where another
-    process holds the other CPUs, a helper that is not scheduled in time
-    finds nothing left to claim and exits, and the call runs at the speed of
-    one thread instead of waiting on it.  About ``SCORE_BLOCK_ROWS`` rows (or
-    ``SCORE_MIN_BLOCK_ROWS`` per thread, if more) are in flight at once over
-    all threads, so the memory a call takes does not grow with the video's
-    length.  The error of the lowest-indexed failing block is raised."""
+    The n rows are split into ``max(1, n // SCORE_BLOCK_ROWS)`` blocks of
+    near-equal size, whatever the thread count, so the scores do not depend
+    on how many threads ran them.  When BLAS holds one thread, one helper
+    thread per further usable CPU is started (numpy releases the GIL inside
+    BLAS), and the calling thread and the helpers claim blocks in row order
+    until none is left.  The caller waits only for blocks a helper has
+    claimed, never for a helper to start: where another process holds the
+    other CPUs, a helper that is not scheduled in time finds nothing left to
+    claim and exits, and the call runs at the speed of one thread instead of
+    waiting on it.  About ``SCORE_BLOCK_ROWS`` rows per thread are in flight
+    at once, so the memory a call takes does not grow with the video's
+    length.  Every block is scored, and the error of the lowest-indexed failing block is raised."""
     n = video.n_segments
     if n == 0:
         raise ShapeError(f"{video.video_id}: empty video")
-    workers = usable_cpus() if blas_single_threaded() else 1
-    n_blocks = max(1, min(n // SCORE_MIN_BLOCK_ROWS, workers * -(-n // SCORE_BLOCK_ROWS)))
+    n_blocks = max(1, n // SCORE_BLOCK_ROWS)
     edges = [n * b // n_blocks for b in range(n_blocks + 1)]
     blocks: List = [None] * n_blocks
-    idle = threading.Condition()
-    unclaimed = running = 0  # the next block to claim, blocks being scored
+    scored = [threading.Event() for _ in range(n_blocks)]
+    claims = itertools.count()  # next() is atomic under the GIL, so each block is claimed once
 
     def work() -> None:
-        nonlocal unclaimed, running
-        while True:
-            with idle:
-                b = unclaimed
-                if b >= n_blocks:
-                    return
-                unclaimed += 1
-                running += 1
+        for b in claims:
+            if b >= n_blocks:
+                return
             rows = slice(edges[b], edges[b + 1])
             try:  # no block's intermediates outlive its forward
                 blocks[b] = forward_stacked(
@@ -311,18 +303,15 @@ def score_video(
                 ).raw_scores[0]
             except BaseException as exc:
                 blocks[b] = exc
-            with idle:
-                running -= 1
-                if isinstance(blocks[b], BaseException):
-                    unclaimed = n_blocks  # claim nothing more
-                idle.notify_all()
+            scored[b].set()
 
+    workers = usable_cpus() if blas_single_threaded() else 1
     for _ in range(min(workers, n_blocks) - 1):
         # not threading.Thread: its start() waits until the thread runs
         _thread.start_new_thread(work, ())
     work()
-    with idle:
-        idle.wait_for(lambda: running == 0)
+    for event in scored:
+        event.wait()
     for block in blocks:
         if isinstance(block, BaseException):
             raise block

@@ -37,6 +37,11 @@ _DTYPE_CODES = {np.dtype("float32"): 1, np.dtype("float64"): 2}
 # checkpoints, hand-built ones) load unchecked.
 _CRC_KEY = "tensor_crc32"
 _META_CRC_KEY = "meta_crc32"
+# Largest gradient entry, in magnitude, that sgd_step applies.  Whole 4-epoch
+# trainings on the benchmark's train sets stay below 0.5; a step on a video
+# whose features blow up the forward goes far past it (9.1e29 for vision
+# values of 3e37), so the step that trained on that video is the one refused.
+GRAD_LIMIT = 1e6
 # The values each scalar field type of TrainingConfig accepts.  A bool, though
 # an int, is accepted only for a bool field.
 _SCALAR_TYPES = {bool: bool, int: (int, np.integer), float: (int, float, np.integer)}
@@ -131,13 +136,19 @@ def sgd_step(
     config: TrainingConfig,
 ) -> None:
     """Classical momentum SGD with coupled weight decay, in the dtype of
-    ``params`` whatever the dtype of ``grads``, with one temporary per tensor."""
-    for name, theta in params.tensors.items():
+    ``params`` whatever the dtype of ``grads``, with one temporary per tensor.
+
+    Every gradient is checked before any tensor moves, so a refused step
+    leaves the parameters, velocities, version and step as they were."""
+    for name in params.tensors:
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name} at step {state.step}")
+        if not (-GRAD_LIMIT <= g.min() and g.max() <= GRAD_LIMIT):  # false for a nan too
+            raise NumericError(
+                f"gradient for {name} at step {state.step} is not finite or exceeds {GRAD_LIMIT:g} in magnitude"
+            )
+    for name, theta in params.tensors.items():
         step = np.multiply(theta, config.weight_decay)
-        step += g
+        step += grads[name]
         v = state.velocity[name]
         v *= config.momentum
         v += step

@@ -209,7 +209,8 @@ class TestExitCodes:
             warnings.simplefilter("error")  # no numpy overflow warning either
             assert main(train + ["--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == (
-            "error: event ev00, epoch 0, step 2, videos ev00_000 and ev01_003: non-finite values in raw scores\n"
+            "error: event ev00, epoch 0, step 1, videos ev00_001 and ev01_003: "
+            "gradient for wv1 at step 1 is not finite or exceeds 1e+06 in magnitude\n"
         )
 
     def test_non_utf8_config_file(self, dataset, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -434,9 +435,8 @@ class TestBlockedScoring:
         return VideoRecord("v", "e", float(n), vision, audio)
 
     @pytest.mark.parametrize("ablation", MODALITIES, ids=["full", "no-audio", "no-vision"])
-    @pytest.mark.parametrize(
-        "n", [1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 3 * SCORE_BLOCK_ROWS + 5]
-    )
+    # one block, then two blocks of 127 to 129 rows each, then eight
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 773])
     def test_blocks_match_one_forward(self, params, ablation, n):
         video = self.video(n)
         scores = score_video(video, params, ablation)
@@ -526,6 +526,45 @@ class TestThreadedScoring(TestBlockedScoring):
         for helper in late:
             helper()
         assert calls == []
+
+    @pytest.mark.parametrize("n", [300, 599, 900, 1201, 1800])
+    def test_scores_do_not_depend_on_the_thread_count(self, params, n, monkeypatch):
+        video = self.video(n)
+        scores = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            scores.append(score_video(video, params))
+        assert np.array_equal(scores[0], scores[1]) and np.array_equal(scores[0], scores[2])
+
+    def test_each_block_is_scored_once_under_contention(self, toy_params, monkeypatch):
+        """Eight threads on fewer cores, switching as often as the interpreter
+        allows: a lost or doubled claim would skip or repeat a block."""
+        real = milrank.model.forward_stacked
+        starts = []
+
+        def record(vision, *args, **kwargs):
+            starts.append(int(vision[0, 0, 0]))
+            return real(vision, *args, **kwargs)
+
+        video = self.video(40 * SCORE_BLOCK_ROWS + 17, TOY)
+        video.vision[:, 0] = np.arange(video.n_segments)
+        one_thread = score_video(video, toy_params)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setattr(milrank.model, "forward_stacked", record)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=lambda: results.extend(score_video(video, toy_params) for _ in range(5)))
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and len(results) == 5
+        n = video.n_segments
+        assert sorted(starts) == sorted([n * b // 40 for b in range(40)] * 5)
+        for scores in results:
+            assert np.array_equal(scores, one_thread)
 
     def test_repeated_calls_identical(self, params):
         video = self.video(2 * SCORE_BLOCK_ROWS + 7)

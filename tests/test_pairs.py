@@ -36,6 +36,19 @@ def test_wins_follow_the_metric_direction_and_ties_count_for_neither():
     assert summary["pairs_kept"] == [1, 2, 3]
 
 
+def test_pair_ratios_are_taken_within_each_pair():
+    # the host slows 2x in pair 2: each tree's quartiles spread, each pair's ratio does not
+    runs = [
+        run(1, "parent", rate=10.0, time=0.0), run(1, "change", rate=12.0, time=1.0),
+        run(2, "change", rate=6.0, time=2.0), run(2, "parent", rate=5.0, time=1.0),
+        run(3, "parent", rate=10.0, time=1.0), run(3, "change", rate=13.0, time=3.0),
+    ]
+    metrics = pairs.summarize(runs, METRICS)["metrics"]
+    assert metrics["rate"]["parent"] == {"median": 10.0, "q1": 7.5, "q3": 10.0}
+    assert metrics["rate"]["pair_ratio"] == pytest.approx({"median": 1.2, "q1": 1.2, "q3": 1.25})
+    assert metrics["time"]["pair_ratio"] == {"median": 2.5, "q1": 2.25, "q3": 2.75}  # pair 1's zero parent is left out
+
+
 def test_a_run_that_exits_nonzero_drops_its_pair():
     runs = [
         run(1, "parent", rate=10.0), run(1, "change", rate=20.0),

@@ -12,6 +12,7 @@ from milrank.data import SyntheticSpec, gen_synthetic
 from milrank.errors import ConfigError, FormatError, NumericError
 from milrank.model import ModelParams, init_params, zero_like_params
 from milrank.train import (
+    GRAD_LIMIT,
     Checkpoint,
     OptimizerState,
     TrainingConfig,
@@ -114,6 +115,29 @@ class TestSgdStep:
         state = OptimizerState(velocity={"w": np.array([0.0])})
         with pytest.raises(NumericError, match="w"):
             sgd_step(params, {"w": np.array([np.nan])}, state, 0.1, TrainingConfig())
+        # a nan in the last tensor: no tensor or velocity moves before the refusal
+        params = init_params(TOY, 3)
+        state = OptimizerState(velocity={k: np.full_like(v, 0.5) for k, v in params.tensors.items()})
+        grads = {k: np.ones_like(v) for k, v in params.tensors.items()}
+        last = list(params.tensors)[-1]
+        grads[last][-1] = np.nan
+        before, velocity = params.copy(), {k: v.copy() for k, v in state.velocity.items()}
+        with pytest.raises(NumericError, match=last):
+            sgd_step(params, grads, state, 0.1, TrainingConfig())
+        for name, t in params.tensors.items():
+            assert np.array_equal(t, before.tensors[name]), name
+            assert np.array_equal(state.velocity[name], velocity[name]), name
+        assert params.version == before.version and state.step == 0
+
+    @pytest.mark.parametrize("scale", [1.0, -1.0])
+    def test_gradient_beyond_the_limit(self, scale):
+        params = FlatParams({"w": np.array([1.0, 2.0])})
+        state = OptimizerState(velocity={"w": np.zeros(2)})
+        sgd_step(params, {"w": np.array([0.0, scale * GRAD_LIMIT])}, state, 0.1, TrainingConfig())
+        assert state.step == 1
+        with pytest.raises(NumericError, match="exceeds"):
+            sgd_step(params, {"w": np.array([0.0, scale * 2 * GRAD_LIMIT])}, state, 0.1, TrainingConfig())
+        assert state.step == 1
 
     def test_float32_gradient_updates_float64_master(self, rng):
         cfg = TrainingConfig(momentum=0.9, weight_decay=0.0005)

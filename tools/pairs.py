@@ -3,9 +3,9 @@
     python3 tools/pairs.py --parent REV --workload W [--workload W2 ...] --pairs N --seeds S [S ...]
                            [--out BENCH_<n>.json]
 
-The parent revision is checked out with ``git worktree add`` in a temporary
-directory (removed afterwards); the change is the working tree this script
-lives in.  For every workload, pair ``i`` runs
+The parent revision is unpacked with ``git archive`` into a temporary
+directory (removed afterwards), which leaves the repository's own metadata
+untouched; the change is the working tree this script lives in.  For every workload, pair ``i`` runs
 
     python3 bench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
@@ -14,8 +14,10 @@ and SECONDS the ``run_seconds`` of ``BENCHMARK.json``.  The parent runs first
 in odd pairs (1, 3, ...) and second in even ones, so a drift of the host's
 speed over the run falls on both trees alike.  The output holds every run's
 end-to-end metrics, each tree's total of attempted and failed operations,
-each metric's median and quartiles per tree, the count of pairs the change
-won (by the direction ``BENCHMARK.json`` gives), and a host line: usable
+each metric's median and quartiles per tree and of the change/parent ratio
+within each pair (a drift of the host's speed between pairs cancels in it),
+the count of pairs the change won (by the direction ``BENCHMARK.json``
+gives), and a host line: usable
 CPUs, the numpy version and its BLAS.  A pair counts toward the medians and
 wins only when both its runs exited 0 and ``bench/run.py`` judged them correct.
 """
@@ -82,7 +84,8 @@ def usable(run: dict) -> bool:
 def summarize(runs: list, metrics: list) -> dict:
     """Each tree's operations over its runs that exited 0, the pairs whose two
     runs are both usable, and per metric over those pairs: each tree's median
-    and quartiles, the change's median over the parent's, and the pairs the
+    and quartiles, the change's median over the parent's, the median and
+    quartiles of the change/parent ratio of each pair, and the pairs the
     change won."""
     trees = ("parent", "change")
     pairs = sorted({r["pair"] for r in runs})
@@ -108,6 +111,8 @@ def summarize(runs: list, metrics: list) -> dict:
             entry[tree] = quartiles([by_tree[tree][p] for p in both])
         base = entry["parent"]["median"]
         entry["change_over_parent"] = entry["change"]["median"] / base if base else None
+        ratios = [by_tree["change"][p] / by_tree["parent"][p] for p in both if by_tree["parent"][p]]
+        entry["pair_ratio"] = quartiles(ratios) if ratios else None
         out["metrics"][name] = entry
     return out
 
@@ -143,8 +148,10 @@ def main() -> int:
     }
     tmp = Path(tempfile.mkdtemp(prefix="pairs-"))
     parent_tree = tmp / "parent"
-    git("worktree", "add", "--detach", str(parent_tree), parent_sha)
     try:
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent_sha], cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
         trees = {"parent": parent_tree, "change": ROOT}
         for workload in args.workload:
             runs = []
@@ -159,8 +166,6 @@ def main() -> int:
             report["workloads"][workload] = {"runs": runs, "summary": summarize(runs, metrics)}
             out_path.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)], cwd=ROOT)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
         shutil.rmtree(tmp, ignore_errors=True)
     print(out_path)
     return 0
