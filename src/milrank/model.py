@@ -282,7 +282,8 @@ def score_video(
     claim and exits, and the call runs at the speed of one thread instead of
     waiting on it.  About ``SCORE_BLOCK_ROWS`` rows per thread are in flight
     at once, so the memory a call takes does not grow with the video's
-    length.  Every block is scored, and the error of the lowest-indexed failing block is raised."""
+    length.  Every block is scored, and the error of the lowest-indexed
+    failing block is raised."""
     n = video.n_segments
     if n == 0:
         raise ShapeError(f"{video.video_id}: empty video")

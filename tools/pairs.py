@@ -5,7 +5,8 @@
 
 The parent revision is unpacked with ``git archive`` into a temporary
 directory (removed afterwards), which leaves the repository's own metadata
-untouched; the change is the working tree this script lives in.  For every workload, pair ``i`` runs
+untouched; the change is the working tree this script lives in.  For every
+workload, pair ``i`` runs
 
     python3 bench/run.py --workload W --seed S --seconds SECONDS --trace 0
 
@@ -17,9 +18,9 @@ end-to-end metrics, each tree's total of attempted and failed operations,
 each metric's median and quartiles per tree and of the change/parent ratio
 within each pair (a drift of the host's speed between pairs cancels in it),
 the count of pairs the change won (by the direction ``BENCHMARK.json``
-gives), and a host line: usable
-CPUs, the numpy version and its BLAS.  A pair counts toward the medians and
-wins only when both its runs exited 0 and ``bench/run.py`` judged them correct.
+gives), and a host line: usable CPUs, the numpy version and its BLAS.  A
+pair counts toward the medians and wins only when both its runs exited 0
+and ``bench/run.py`` judged them correct.
 """
 
 from __future__ import annotations
